@@ -7,9 +7,11 @@
 //                   Welford fold on the clock), MN driving 6 moves.
 //   e2e.surrogate.* the fitted surrogate behind the same cost, PC+MN
 //                   driving a full Table 3.4-style reparameterization to
-//                   convergence.  Cheap per sample, so this shape times
-//                   the optimizer spine (simplex logic, scheduling,
-//                   moment folds) rather than the physics.
+//                   convergence.  A sample is cheap, but a run draws
+//                   millions of them, so most of this shape's time is
+//                   sampling itself (the noise draws and the surrogate
+//                   cost), plus the optimizer spine around it (simplex
+//                   logic, scheduling, moment folds) — not the physics.
 //
 // The counter-keyed noise makes every repetition identical work, so the
 // median is a clean wall-time for bench_diff to watch: a regression here
@@ -111,8 +113,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nShape check: e2e.md is physics-bound (force loops and neighbor\n"
-      "rebuilds), e2e.surrogate is optimizer-bound (simplex moves and moment\n"
-      "folds); a regression in only one of them points at the layer to blame.\n");
+      "rebuilds), e2e.surrogate is sampling-bound (noise draws and the\n"
+      "surrogate cost); a regression in only one of them points at the layer\n"
+      "to blame.\n");
 
   if (!jsonPath.empty()) {
     if (!report.writeJson(jsonPath)) return 1;

@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks for the performance-critical pieces:
-// objective sampling, simplex bookkeeping, the MW wire protocol, and the
-// MD engine's force loop.  These back the efficiency claims in DESIGN.md
-// (e.g. "ordering d+1 points is always cheaper than an objective sample").
+// objective sampling (single draws and 64-sample runs), simplex
+// bookkeeping, the MW wire protocol, and the MD engine's force loop.
+// These back the efficiency claims in DESIGN.md (e.g. "ordering d+1
+// points is always cheaper than an objective sample").
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
 
 #include "core/initial_simplex.hpp"
@@ -19,6 +21,7 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
 #include "testfunctions/functions.hpp"
+#include "water/cost.hpp"
 
 namespace {
 
@@ -44,6 +47,54 @@ void BM_NoisySample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NoisySample);
+
+// One 64-sample run per iteration (one canonical chunk), reported as
+// samples/s: f(x) and the stream prefix are paid once per run.
+void BM_NoisySampleRun(benchmark::State& state) {
+  noise::NoisyFunction::Options o;
+  o.sigma0 = 100.0;
+  noise::NoisyFunction f(4, [](std::span<const double> p) { return testfunctions::rosenbrock(p); },
+                         o);
+  const std::vector<double> x{0.5, 0.5, 0.5, 0.5};
+  std::array<double, 64> out;
+  std::uint64_t first = 0;
+  for (auto _ : state) {
+    f.sampleRun(x, 1, first, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    first += out.size();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_NoisySampleRun);
+
+// The Table 3.4 water cost: one sample() per iteration, which evaluates
+// the surrogate every call ...
+void BM_WaterSample(benchmark::State& state) {
+  const water::WaterCostObjective f;
+  const std::vector<double> x{0.210, 3.00, 0.54};
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.sample(x, {1, i++}));
+  }
+}
+BENCHMARK(BM_WaterSample);
+
+// ... against 64-sample runs (samples/s), which evaluate it once per run.
+void BM_WaterSampleRun(benchmark::State& state) {
+  const water::WaterCostObjective f;
+  const std::vector<double> x{0.210, 3.00, 0.54};
+  std::array<double, 64> out;
+  std::uint64_t first = 0;
+  for (auto _ : state) {
+    f.sampleRun(x, 1, first, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    first += out.size();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_WaterSampleRun);
 
 void BM_WelfordAdd(benchmark::State& state) {
   stats::Welford w;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/sampling_backend.hpp"
 #include "stats/welford.hpp"
 
 namespace sfopt::core {
@@ -14,9 +15,9 @@ NoiseProbe probeNoise(const noise::StochasticObjective& objective, const Point& 
     throw std::invalid_argument("probeNoise: dimension mismatch");
   }
   stats::Welford w;
-  for (std::int64_t i = 0; i < samples; ++i) {
-    w.add(objective.sample(x, {probeStream, static_cast<std::uint64_t>(i)}));
-  }
+  sampleChunks(objective, x, probeStream, 0, samples, [&w](std::span<const double> chunk) {
+    for (const double y : chunk) w.add(y);
+  });
   const double dt = objective.sampleDuration();
   NoiseProbe probe;
   probe.meanEstimate = w.mean();

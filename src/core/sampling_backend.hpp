@@ -1,9 +1,12 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "noise/stochastic_objective.hpp"
 #include "simd/dispatch.hpp"
 #include "stats/welford.hpp"
 
@@ -20,11 +23,15 @@ namespace sfopt::core {
 /// across workers, how many clients each worker ran, and in which order
 /// shards completed.
 ///
-/// Canonical-moment contract.  Two reductions, and only these two, define
-/// a batch's moments; every producer and consumer must go through them so
-/// alternative accumulation modes (SIMD lanes today, bf16 or pairwise
-/// trees tomorrow) cannot silently diverge from each other:
+/// Canonical-moment contract.  One producer and two reductions, and only
+/// these, define a batch's moments; every producer and consumer must go
+/// through them so alternative accumulation modes (SIMD lanes today, bf16
+/// or pairwise trees tomorrow) cannot silently diverge from each other:
 ///
+///  0. Chunk samples: sampleChunks() fills each chunk through
+///     StochasticObjective::sampleRun, whose out[i] is bit for bit
+///     sample(x, {vertexId, first + i}) — so a chunk's samples are a pure
+///     function of (objective, x, vertexId, index range).
 ///  1. Chunk interior: accumulateEvalChunk() turns the chunk's sample
 ///     stream into moments.  It dispatches on the active SIMD ISA; the
 ///     scalar ISA is the sequential Welford::add stream bit for bit, and
@@ -37,6 +44,22 @@ inline constexpr std::int64_t kEvalChunkSamples = 64;
 /// Number of chunks a batch of `count` samples decomposes into.
 [[nodiscard]] constexpr std::int64_t evalChunkCount(std::int64_t count) noexcept {
   return (count + kEvalChunkSamples - 1) / kEvalChunkSamples;
+}
+
+/// Draw `count` samples of `objective` at x on noise stream `stream`,
+/// starting at sample index `first`, one canonical chunk at a time
+/// (contract step 0): `sink` receives each chunk's samples — 64, the last
+/// possibly fewer — in index order.  THE sampling loop everybody must use.
+template <class Sink>
+void sampleChunks(const noise::StochasticObjective& objective, std::span<const double> x,
+                  std::uint64_t stream, std::uint64_t first, std::int64_t count, Sink&& sink) {
+  std::array<double, kEvalChunkSamples> buffer;
+  for (std::int64_t done = 0; done < count; done += kEvalChunkSamples) {
+    const std::span<double> chunk(
+        buffer.data(), static_cast<std::size_t>(std::min(count - done, kEvalChunkSamples)));
+    objective.sampleRun(x, stream, first + static_cast<std::uint64_t>(done), chunk);
+    sink(std::span<const double>(chunk));
+  }
 }
 
 /// Accumulate the sample stream of ONE canonical chunk into Welford

@@ -8,6 +8,19 @@
 
 namespace sfopt::core {
 
+namespace {
+
+/// Draw `take` more samples at v inline and absorb them in index order:
+/// the vertex sees the sequential Welford::add stream.
+void sampleInline(const noise::StochasticObjective& objective, Vertex& v, std::int64_t take) {
+  sampleChunks(objective, v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()), take,
+               [&v](std::span<const double> chunk) {
+                 for (const double y : chunk) v.absorb(y);
+               });
+}
+
+}  // namespace
+
 SamplingContext::SamplingContext(const noise::StochasticObjective& objective, Options options)
     : objective_(objective), options_(options), nextVertexId_(options.firstVertexId) {
   if (options_.maxSamplesPerVertex < 1) {
@@ -55,10 +68,7 @@ std::int64_t SamplingContext::refine(Vertex& v, std::int64_t extra) {
   } else if (options_.backend != nullptr) {
     v.absorb(options_.backend->sampleBatch(req));
   } else {
-    for (std::int64_t i = 0; i < take; ++i) {
-      const noise::SampleKey key{v.id(), static_cast<std::uint64_t>(v.sampleCount())};
-      v.absorb(objective_.sample(v.point(), key));
-    }
+    sampleInline(objective_, v, take);
   }
   totalSamples_ += take;
   return take;
@@ -155,11 +165,7 @@ void SamplingContext::coSample(std::span<const RefineRequest> requests,
     }
   } else {
     for (const CoalescedRequest& c : coal) {
-      Vertex& v = *c.vertex;
-      for (std::int64_t i = 0; i < c.take; ++i) {
-        const noise::SampleKey key{v.id(), static_cast<std::uint64_t>(v.sampleCount())};
-        v.absorb(objective_.sample(v.point(), key));
-      }
+      sampleInline(objective_, *c.vertex, c.take);
       totalSamples_ += c.take;
       maxTaken = std::max(maxTaken, c.take);
     }

@@ -1,7 +1,6 @@
 #include "mw/vertex_server.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 namespace sfopt::mw {
@@ -11,10 +10,8 @@ VertexServer::VertexServer(const noise::StochasticObjective& objective, int clie
   if (clients < 1) throw std::invalid_argument("VertexServer: clients must be >= 1");
   const auto n = static_cast<std::size_t>(clients);
   jobs_.resize(n);
-  partials_.resize(n);
   partialChunks_.resize(n);
   clientSamples_.assign(n, 0);
-  clientGeneration_.assign(n, 0);
   clients_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     clients_.emplace_back([this, i] { clientLoop(i); });
@@ -28,32 +25,6 @@ VertexServer::~VertexServer() {
   }
   jobReady_.notify_all();
   for (auto& t : clients_) t.join();
-}
-
-stats::Welford VertexServer::runBatch(const core::SamplingBackend::BatchRequest& request) {
-  if (request.count < 0) throw std::invalid_argument("VertexServer::runBatch: negative count");
-  const auto n = clients_.size();
-  {
-    std::unique_lock lock(mutex_);
-    // Split into contiguous index ranges; the first (count % n) clients
-    // take one extra sample.
-    const std::int64_t base = request.count / static_cast<std::int64_t>(n);
-    const std::int64_t extra = request.count % static_cast<std::int64_t>(n);
-    std::uint64_t index = request.startIndex;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t take = base + (static_cast<std::int64_t>(i) < extra ? 1 : 0);
-      jobs_[i] = ClientJob{{request.x.begin(), request.x.end()}, request.vertexId, index, take};
-      partials_[i].reset();
-      index += static_cast<std::uint64_t>(take);
-    }
-    ++generation_;
-    remaining_ = static_cast<int>(n);
-    jobReady_.notify_all();
-    jobDone_.wait(lock, [this] { return remaining_ == 0; });
-    stats::Welford merged;
-    for (const auto& p : partials_) merged.merge(p);
-    return merged;
-  }
 }
 
 std::vector<stats::Welford> VertexServer::runBatchChunks(
@@ -82,10 +53,8 @@ std::vector<stats::Welford> VertexServer::runBatchChunks(
         ClientJob{{request.x.begin(), request.x.end()},
                   request.vertexId,
                   request.startIndex + static_cast<std::uint64_t>(sampleOffset),
-                  myCount,
-                  /*chunked=*/true};
+                  myCount};
     partialChunks_[static_cast<std::size_t>(i)].clear();
-    partials_[static_cast<std::size_t>(i)].reset();
     chunkFirst += myChunks;
   }
   ++generation_;
@@ -111,37 +80,18 @@ void VertexServer::clientLoop(std::size_t clientIndex) {
       seen = generation_;
       job = jobs_[clientIndex];
     }
-    // The "simulation": sample the objective outside the lock.
-    stats::Welford partial;
+    // The "simulation": sample the objective outside the lock.  Each
+    // client's range starts on the batch's chunk grid, so its chunks are
+    // the batch's canonical chunks; their moments (SIMD-dispatched) depend
+    // only on the chunk's sample stream, never on which client or worker
+    // computed it.
     std::vector<stats::Welford> chunkPartials;
-    if (job.chunked) {
-      std::int64_t remaining = job.count;
-      std::uint64_t index = job.startIndex;
-      std::array<double, core::kEvalChunkSamples> buffer;
-      while (remaining > 0) {
-        const std::int64_t take = std::min(remaining, core::kEvalChunkSamples);
-        for (std::int64_t i = 0; i < take; ++i) {
-          const noise::SampleKey key{job.vertexId, index + static_cast<std::uint64_t>(i)};
-          buffer[static_cast<std::size_t>(i)] = objective_.sample(job.x, key);
-        }
-        // Canonical chunk-interior accumulation (SIMD-dispatched): the
-        // chunk's moments depend only on its sample stream, never on
-        // which client or worker computed it.
-        chunkPartials.push_back(core::accumulateEvalChunk(
-            {buffer.data(), static_cast<std::size_t>(take)}));
-        index += static_cast<std::uint64_t>(take);
-        remaining -= take;
-      }
-    } else {
-      for (std::int64_t i = 0; i < job.count; ++i) {
-        const noise::SampleKey key{job.vertexId,
-                                   job.startIndex + static_cast<std::uint64_t>(i)};
-        partial.add(objective_.sample(job.x, key));
-      }
-    }
+    core::sampleChunks(objective_, job.x, job.vertexId, job.startIndex, job.count,
+                       [&chunkPartials](std::span<const double> chunk) {
+                         chunkPartials.push_back(core::accumulateEvalChunk(chunk));
+                       });
     {
       std::lock_guard lock(mutex_);
-      partials_[clientIndex] = partial;
       partialChunks_[clientIndex] = std::move(chunkPartials);
       clientSamples_[clientIndex] += job.count;
       if (--remaining_ == 0) jobDone_.notify_all();

@@ -30,10 +30,6 @@ class VertexServer {
   VertexServer(const VertexServer&) = delete;
   VertexServer& operator=(const VertexServer&) = delete;
 
-  /// Run one sampling batch across the client pool and merge the partial
-  /// statistics.  Blocking; safe to call repeatedly.
-  [[nodiscard]] stats::Welford runBatch(const core::SamplingBackend::BatchRequest& request);
-
   /// Run one sampling batch and return its canonical per-chunk moments
   /// (see core::kEvalChunkSamples): whole chunks are handed out
   /// contiguously across the Ns clients, so chunk j is always the same
@@ -54,9 +50,6 @@ class VertexServer {
     std::uint64_t vertexId = 0;
     std::uint64_t startIndex = 0;
     std::int64_t count = 0;
-    /// Chunked batches report per-chunk moments instead of one partial;
-    /// startIndex is chunk-aligned relative to the batch by construction.
-    bool chunked = false;
   };
 
   void clientLoop(std::size_t clientIndex);
@@ -68,11 +61,9 @@ class VertexServer {
   std::condition_variable jobDone_;
   // One job slot per client per batch; generation counter sequences batches.
   std::vector<ClientJob> jobs_;
-  std::vector<stats::Welford> partials_;
   std::vector<std::vector<stats::Welford>> partialChunks_;
   std::vector<std::int64_t> clientSamples_;
   std::uint64_t generation_ = 0;
-  std::vector<std::uint64_t> clientGeneration_;
   int remaining_ = 0;
   bool stopping_ = false;
 

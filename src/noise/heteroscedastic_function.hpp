@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "noise/stochastic_objective.hpp"
@@ -17,6 +18,9 @@ namespace sfopt::noise {
 ///
 /// The stochastic simplex variants must cope with this without being told:
 /// they only ever see the estimated sigma from the sample stream.
+///
+/// f and sigma0 must be pure functions of x: a sampling run evaluates each
+/// once and reuses the values for every sample of the run.
 class HeteroscedasticFunction final : public StochasticObjective {
  public:
   using Fn = std::function<double(std::span<const double>)>;
@@ -34,14 +38,29 @@ class HeteroscedasticFunction final : public StochasticObjective {
         f_(std::move(f)),
         sigma0_(std::move(sigma0)),
         opts_(opts),
-        rng_(opts.seed) {}
+        rng_(opts.seed) {
+    if (!(opts.sampleDuration > 0.0)) {
+      throw std::invalid_argument("HeteroscedasticFunction: sampleDuration must be positive");
+    }
+  }
 
   [[nodiscard]] std::size_t dimension() const override { return dim_; }
   [[nodiscard]] double sampleDuration() const override { return opts_.sampleDuration; }
 
   [[nodiscard]] double sample(std::span<const double> x, SampleKey key) const override {
+    double y = 0.0;
+    sampleRun(x, key.stream, key.index, {&y, 1});
+    return y;
+  }
+
+  void sampleRun(std::span<const double> x, std::uint64_t stream, std::uint64_t firstIndex,
+                 std::span<double> out) const override {
     const double perSample = sigma0_(x) / std::sqrt(opts_.sampleDuration);
-    return f_(x) + perSample * rng_.gaussian(key);
+    const double fx = f_(x);
+    const std::uint64_t prefix = rng_.streamPrefix(stream);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = fx + perSample * gaussianAt(prefix, firstIndex + i);
+    }
   }
 
   [[nodiscard]] std::optional<double> trueValue(std::span<const double> x) const override {

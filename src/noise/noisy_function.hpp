@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "noise/stochastic_objective.hpp"
@@ -13,6 +14,9 @@ namespace sfopt::noise {
 /// N(0, sigma0^2 / dt), so the mean over total time t has variance
 /// sigma0^2 / t.  This is the workhorse used for every synthetic experiment
 /// (controlled-noise Rosenbrock / Powell optimizations).
+///
+/// f must be a pure function of x: a sampling run evaluates it once and
+/// reuses the value for every sample of the run.
 class NoisyFunction final : public StochasticObjective {
  public:
   using Fn = std::function<double(std::span<const double>)>;
@@ -28,13 +32,31 @@ class NoisyFunction final : public StochasticObjective {
         f_(std::move(f)),
         opts_(opts),
         sigmaPerSample_(opts.sigma0 / std::sqrt(opts.sampleDuration)),
-        rng_(opts.seed) {}
+        rng_(opts.seed) {
+    if (!(std::isfinite(opts.sigma0) && opts.sigma0 >= 0.0)) {
+      throw std::invalid_argument("NoisyFunction: sigma0 must be finite and >= 0");
+    }
+    if (!(opts.sampleDuration > 0.0)) {
+      throw std::invalid_argument("NoisyFunction: sampleDuration must be positive");
+    }
+  }
 
   [[nodiscard]] std::size_t dimension() const override { return dim_; }
   [[nodiscard]] double sampleDuration() const override { return opts_.sampleDuration; }
 
   [[nodiscard]] double sample(std::span<const double> x, SampleKey key) const override {
-    return f_(x) + sigmaPerSample_ * rng_.gaussian(key);
+    double y = 0.0;
+    sampleRun(x, key.stream, key.index, {&y, 1});
+    return y;
+  }
+
+  void sampleRun(std::span<const double> x, std::uint64_t stream, std::uint64_t firstIndex,
+                 std::span<double> out) const override {
+    const double fx = f_(x);
+    const std::uint64_t prefix = rng_.streamPrefix(stream);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = fx + sigmaPerSample_ * gaussianAt(prefix, firstIndex + i);
+    }
   }
 
   [[nodiscard]] std::optional<double> trueValue(std::span<const double> x) const override {

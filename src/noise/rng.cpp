@@ -1,21 +1,13 @@
 #include "noise/rng.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace sfopt::noise {
 
 std::uint64_t CounterRng::bits(SampleKey key, std::uint64_t salt) const noexcept {
-  std::uint64_t h = splitmix64(seed_);
-  h = hashCombine(h, key.stream);
-  h = hashCombine(h, key.index);
-  h = hashCombine(h, salt);
-  return h;
+  return bitsAt(streamPrefix(key.stream), key.index, salt);
 }
 
 double CounterRng::uniform(SampleKey key, std::uint64_t salt) const noexcept {
-  // 53 random bits into the mantissa => uniform on [0, 1).
-  return static_cast<double>(bits(key, salt) >> 11) * 0x1.0p-53;
+  return unitInterval(bits(key, salt));
 }
 
 double CounterRng::uniform(SampleKey key, double lo, double hi, std::uint64_t salt) const noexcept {
@@ -23,10 +15,7 @@ double CounterRng::uniform(SampleKey key, double lo, double hi, std::uint64_t sa
 }
 
 double CounterRng::gaussian(SampleKey key, std::uint64_t salt) const noexcept {
-  // Box-Muller; u1 is kept away from 0 so log() is finite.
-  const double u1 = uniform(key, salt) + 0x1.0p-54;
-  const double u2 = uniform(key, salt + 1);
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+  return gaussianAt(streamPrefix(key.stream), key.index, salt);
 }
 
 std::uint64_t RngStream::below(std::uint64_t n) noexcept {

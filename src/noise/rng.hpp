@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <utility>
 
 namespace sfopt::noise {
@@ -16,6 +18,31 @@ namespace sfopt::noise {
 /// Combine keys into a single 64-bit hash, order-sensitively.
 [[nodiscard]] constexpr std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b) noexcept {
   return splitmix64(a ^ (splitmix64(b) + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
+}
+
+/// Raw 64 random bits for (index, salt) on the stream whose prefix is
+/// `prefix` (see CounterRng::streamPrefix).  The one key hash every draw
+/// goes through.
+[[nodiscard]] constexpr std::uint64_t bitsAt(std::uint64_t prefix, std::uint64_t index,
+                                             std::uint64_t salt) noexcept {
+  return hashCombine(hashCombine(prefix, index), salt);
+}
+
+/// 53 random bits into the mantissa => uniform on [0, 1).
+[[nodiscard]] constexpr double unitInterval(std::uint64_t bits) noexcept {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+/// Standard normal deviate for (index, salt) on the stream whose prefix is
+/// `prefix`, via Box-Muller over salts `salt` and `salt + 1`.  Inline so a
+/// sampling run pays only the per-index hashing: the prefix is computed
+/// once per run, and with a constant salt the salt hashes fold away.
+[[nodiscard]] inline double gaussianAt(std::uint64_t prefix, std::uint64_t index,
+                                       std::uint64_t salt = 0) noexcept {
+  // u1 is kept away from 0 so log() is finite.
+  const double u1 = unitInterval(bitsAt(prefix, index, salt)) + 0x1.0p-54;
+  const double u2 = unitInterval(bitsAt(prefix, index, salt + 1));
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 /// Identifies one noise draw.  The pair (stream, index) maps to a unique,
@@ -34,6 +61,12 @@ struct SampleKey {
 class CounterRng {
  public:
   explicit constexpr CounterRng(std::uint64_t seed) noexcept : seed_(seed) {}
+
+  /// The (seed, stream) part of every key hash on `stream`: draws at any
+  /// index of the stream are bitsAt/gaussianAt(streamPrefix(stream), ...).
+  [[nodiscard]] constexpr std::uint64_t streamPrefix(std::uint64_t stream) const noexcept {
+    return hashCombine(splitmix64(seed_), stream);
+  }
 
   /// Raw 64 random bits for (key, salt).
   [[nodiscard]] std::uint64_t bits(SampleKey key, std::uint64_t salt = 0) const noexcept;

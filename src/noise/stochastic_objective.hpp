@@ -20,10 +20,10 @@ namespace sfopt::noise {
 /// remain martingale-consistent (more sampling refines, never re-rolls, the
 /// estimate).
 ///
-/// Thread-compatibility: sample() must be safe to call concurrently for
-/// distinct SampleKey streams (the master-worker runtime evaluates several
-/// vertices at once).  Implementations based on CounterRng are stateless
-/// and trivially satisfy this.
+/// Thread-compatibility: sample() and sampleRun() must be safe to call
+/// concurrently for distinct SampleKey streams (the master-worker runtime
+/// evaluates several vertices at once).  Implementations based on
+/// CounterRng are stateless and trivially satisfy this.
 class StochasticObjective {
  public:
   virtual ~StochasticObjective() = default;
@@ -39,6 +39,17 @@ class StochasticObjective {
   /// (its unique id), `key.index` the per-vertex sample counter; together
   /// they make every draw reproducible and order-independent.
   [[nodiscard]] virtual double sample(std::span<const double> x, SampleKey key) const = 0;
+
+  /// Draw a run of consecutive observations at x on one noise stream:
+  /// out[i] is bit for bit sample(x, {stream, firstIndex + i}).  Every
+  /// sampling loop goes through here, so an objective whose per-point work
+  /// (f(x), sigma0(x), the stream's hash prefix) does not depend on the
+  /// sample index can override it to do that work once per run.  The
+  /// default is the per-sample loop.
+  virtual void sampleRun(std::span<const double> x, std::uint64_t stream,
+                         std::uint64_t firstIndex, std::span<double> out) const {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = sample(x, {stream, firstIndex + i});
+  }
 
   /// Noise-free underlying value f(x), when known.  Synthetic test
   /// functions expose it so benches can report the true error R; real

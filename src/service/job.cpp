@@ -1,5 +1,6 @@
 #include "service/job.hpp"
 
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -110,6 +111,9 @@ void JobSpec::validate() const {
     throw std::runtime_error("job spec: powell requires dim 4");
   }
   if (objective.clients < 1) throw std::runtime_error("job spec: clients must be >= 1");
+  if (!(std::isfinite(objective.sigma0) && objective.sigma0 >= 0.0)) {
+    throw std::runtime_error("job spec: sigma0 must be finite and >= 0");
+  }
   if (algorithm != "det" && algorithm != "mn" && algorithm != "anderson" &&
       algorithm != "pc" && algorithm != "pcmn") {
     throw std::runtime_error("job spec: unknown algorithm '" + algorithm +

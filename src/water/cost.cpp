@@ -55,10 +55,24 @@ WaterCostObjective::WaterCostObjective(Options options)
   if (!(options_.sampleDuration > 0.0)) {
     throw std::invalid_argument("WaterCostObjective: sampleDuration must be positive");
   }
+  if (!(std::isfinite(options_.sigma0) && options_.sigma0 >= 0.0)) {
+    throw std::invalid_argument("WaterCostObjective: sigma0 must be finite and >= 0");
+  }
 }
 
 double WaterCostObjective::sample(std::span<const double> x, noise::SampleKey key) const {
-  return *trueValue(x) + sigmaPerSample_ * rng_.gaussian(key);
+  double y = 0.0;
+  sampleRun(x, key.stream, key.index, {&y, 1});
+  return y;
+}
+
+void WaterCostObjective::sampleRun(std::span<const double> x, std::uint64_t stream,
+                                   std::uint64_t firstIndex, std::span<double> out) const {
+  const double cost = *trueValue(x);
+  const std::uint64_t prefix = rng_.streamPrefix(stream);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = cost + sigmaPerSample_ * noise::gaussianAt(prefix, firstIndex + i);
+  }
 }
 
 std::optional<double> WaterCostObjective::trueValue(std::span<const double> x) const {

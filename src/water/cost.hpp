@@ -54,6 +54,9 @@ class WaterCostObjective final : public noise::StochasticObjective {
   [[nodiscard]] std::size_t dimension() const override { return 3; }
   [[nodiscard]] double sampleDuration() const override { return options_.sampleDuration; }
   [[nodiscard]] double sample(std::span<const double> x, noise::SampleKey key) const override;
+  /// One surrogate evaluation per run; the noise is drawn per sample.
+  void sampleRun(std::span<const double> x, std::uint64_t stream, std::uint64_t firstIndex,
+                 std::span<double> out) const override;
   [[nodiscard]] std::optional<double> trueValue(std::span<const double> x) const override;
   [[nodiscard]] std::optional<double> noiseScale(std::span<const double> x) const override;
 

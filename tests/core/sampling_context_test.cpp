@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/noise_probe.hpp"
 #include "tests/core/test_helpers.hpp"
 
 namespace {
@@ -150,6 +151,32 @@ TEST(SamplingContext, DuplicatesChargeTheirSummedTakeAgainstTheMax) {
   EXPECT_DOUBLE_EQ(ctx.now(), 10.0);
   EXPECT_EQ(a->sampleCount(), 11);
   EXPECT_EQ(b->sampleCount(), 4);
+}
+
+TEST(SamplingContext, InlineSamplingIsTheSequentialAddStream) {
+  // Inline sampling draws in 64-sample runs but absorbs them one by one in
+  // index order: the vertex moments equal the per-sample Welford::add
+  // stream bit for bit, across run boundaries and for every entry point.
+  auto obj = test::noisyRosenbrock(2, 3.0);
+  SamplingContext ctx(obj);
+  auto v = ctx.createVertex({0.5, -0.5}, 63);
+  (void)ctx.refine(*v, 2);
+  ctx.coSample({{v.get(), 200}, {v.get(), 1}});
+  stats::Welford ref;
+  for (std::uint64_t i = 0; i < 266; ++i) ref.add(obj.sample(v->point(), {v->id(), i}));
+  EXPECT_EQ(v->accumulator().count(), ref.count());
+  EXPECT_EQ(v->accumulator().mean(), ref.mean());
+  EXPECT_EQ(v->accumulator().sumSquaredDeviations(), ref.sumSquaredDeviations());
+}
+
+TEST(SamplingContext, NoiseProbeIsTheSequentialAddStream) {
+  auto obj = test::noisySphere(2, 2.0);
+  const core::Point x{1.0, 2.0};
+  const core::NoiseProbe probe = core::probeNoise(obj, x, 1000, 17);
+  stats::Welford ref;
+  for (std::uint64_t i = 0; i < 1000; ++i) ref.add(obj.sample(x, {17, i}));
+  EXPECT_EQ(probe.meanEstimate, ref.mean());
+  EXPECT_EQ(probe.standardError, ref.standardError());
 }
 
 TEST(SamplingContext, NegativeRefineThrows) {

@@ -49,7 +49,9 @@ struct Pool {
   explicit Pool(CommWorld& comm, int workers) {
     for (int w = 0; w < workers; ++w) {
       objs.push_back(std::make_unique<SquareWorker>(comm, w + 1));
-      threads.emplace_back([this, w] { objs[static_cast<std::size_t>(w)]->run(); });
+      // The thread holds the worker, not the vector: the next push_back may
+      // reallocate it while the thread starts.
+      threads.emplace_back([worker = objs.back().get()] { worker->run(); });
     }
   }
   ~Pool() {

@@ -58,7 +58,9 @@ struct Pool {
   Pool(CommWorld& comm, int workers, int failuresEach) {
     for (int w = 0; w < workers; ++w) {
       objs.push_back(std::make_unique<FlakyWorker>(comm, w + 1, failuresEach));
-      threads.emplace_back([this, w] { objs[static_cast<std::size_t>(w)]->run(); });
+      // The thread holds the worker, not the vector: the next push_back may
+      // reallocate it while the thread starts.
+      threads.emplace_back([worker = objs.back().get()] { worker->run(); });
     }
   }
   ~Pool() {

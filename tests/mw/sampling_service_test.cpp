@@ -45,7 +45,9 @@ struct ServiceFixture {
       : comm(workers + 1) {
     for (int w = 0; w < workers; ++w) {
       workerObjs.push_back(std::make_unique<SamplingWorker>(comm, w + 1, obj, clients));
-      threads.emplace_back([this, w] { workerObjs[static_cast<std::size_t>(w)]->run(); });
+      // The thread holds the worker, not the vector: the next push_back may
+      // reallocate it while the thread starts.
+      threads.emplace_back([worker = workerObjs.back().get()] { worker->run(); });
     }
     driver = std::make_unique<MWDriver>(comm);
   }

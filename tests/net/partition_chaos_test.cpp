@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +49,31 @@ mw::MessageBuffer bigPayload(std::size_t bytes) {
   b.pack(std::string(bytes, 'x'));
   return b;
 }
+
+/// Burns ~20us of busy-work per sample around an inner objective.  Only
+/// sample() is overridden, so batches take the default per-sample
+/// sampleRun loop and the cost stays per sample; values are untouched.
+class SlowSamples final : public noise::StochasticObjective {
+ public:
+  explicit SlowSamples(const noise::StochasticObjective& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::size_t dimension() const override { return inner_.dimension(); }
+  [[nodiscard]] double sampleDuration() const override { return inner_.sampleDuration(); }
+  [[nodiscard]] double sample(std::span<const double> x, noise::SampleKey key) const override {
+    volatile int spins = 0;
+    while (spins < 50'000) spins = spins + 1;
+    return inner_.sample(x, key);
+  }
+  [[nodiscard]] std::optional<double> trueValue(std::span<const double> x) const override {
+    return inner_.trueValue(x);
+  }
+  [[nodiscard]] std::optional<double> noiseScale(std::span<const double> x) const override {
+    return inner_.noiseScale(x);
+  }
+
+ private:
+  const noise::StochasticObjective& inner_;
+};
 
 /// Dial the master THROUGH the proxy while the master polls the handshake.
 std::unique_ptr<TcpWorkerTransport> joinViaProxy(TcpCommWorld& master, const ChaosProxy& proxy,
@@ -466,17 +493,12 @@ TEST(PartitionChaos, ScheduledPartitionWithReconnectingWorkerStaysBitwise) {
   // requeued, it reconnects after the heal as a fresh rank, and the
   // recovered run still matches the solo run bit for bit.
   const noise::NoisyFunction::Options noiseOpts{.sigma0 = 1.0, .seed = 99};
+  const noise::NoisyFunction sphere(
+      2, [](std::span<const double> x) { return testfunctions::sphere(x); }, noiseOpts);
   // ~20us of busy-work per sample: values are untouched, but the run
   // reliably outlives the scheduled partition window instead of finishing
   // before the first fault fires (which would make the test vacuous).
-  const noise::NoisyFunction objective(
-      2,
-      [](std::span<const double> x) {
-        for (volatile int spin = 0; spin < 50'000; ++spin) {
-        }
-        return testfunctions::sphere(x);
-      },
-      noiseOpts);
+  const SlowSamples objective(sphere);
   const std::vector<core::Point> start = {{2.0, 2.0}, {3.0, 2.0}, {2.0, 3.0}};
 
   core::MaxNoiseOptions algo;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
 #include "core/algorithms.hpp"
 #include "core/noise_probe.hpp"
 #include "stats/welford.hpp"
@@ -33,6 +36,18 @@ TEST(Heteroscedastic, NoiseScaleTracksLocation) {
   auto obj = distanceNoisySphere(2, 0.5, 2.0);
   EXPECT_DOUBLE_EQ(*obj.noiseScale(std::vector<double>{0.0, 0.0}), 0.5);
   EXPECT_DOUBLE_EQ(*obj.noiseScale(std::vector<double>{3.0, 4.0}), 0.5 + 10.0);
+}
+
+TEST(Heteroscedastic, RejectsNonPositiveSampleDuration) {
+  for (const double bad : {0.0, -2.0, std::nan("")}) {
+    HeteroscedasticFunction::Options o;
+    o.sampleDuration = bad;
+    EXPECT_THROW(HeteroscedasticFunction(
+                     2, [](std::span<const double> x) { return testfunctions::sphere(x); },
+                     [](std::span<const double>) { return 1.0; }, o),
+                 std::invalid_argument)
+        << bad;
+  }
 }
 
 TEST(Heteroscedastic, SampleVarianceMatchesDeclaredScale) {

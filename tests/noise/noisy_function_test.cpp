@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "stats/welford.hpp"
@@ -96,6 +98,19 @@ TEST(NoisyFunction, DifferentStreamsDecorrelated) {
   const double cov = cross / n - wa.mean() * wb.mean();
   const double corr = cov / (wa.stddev() * wb.stddev());
   EXPECT_NEAR(corr, 0.0, 0.03);
+}
+
+TEST(NoisyFunction, RejectsNonFiniteOrNegativeSigma0) {
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(), -1.0}) {
+    EXPECT_THROW((void)makeConstant(0.0, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW((void)makeConstant(0.0, 0.0));
+}
+
+TEST(NoisyFunction, RejectsNonPositiveSampleDuration) {
+  for (const double bad : {0.0, -1.0, std::nan("")}) {
+    EXPECT_THROW((void)makeConstant(0.0, 1.0, bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(NoisyFunction, ZeroNoiseIsExact) {

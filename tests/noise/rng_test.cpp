@@ -4,8 +4,12 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "noise/heteroscedastic_function.hpp"
+#include "noise/noisy_function.hpp"
 #include "stats/welford.hpp"
+#include "testfunctions/functions.hpp"
 
 namespace {
 
@@ -79,6 +83,80 @@ TEST(CounterRng, GaussianTailFractionReasonable) {
   }
   const double frac = static_cast<double>(beyond) / n;
   EXPECT_NEAR(frac, 0.0455, 0.01);
+}
+
+// Golden values pin the noise stream itself: every bitwise-vs-solo
+// guarantee (and every recorded trajectory) assumes these exact bits, so
+// any change to the key hash or Box-Muller must show up here first.
+struct GoldenDraw {
+  SampleKey key;
+  std::uint64_t bits0;
+  std::uint64_t bits2;
+  double uniform;
+  double gaussian0;
+  double gaussian2;
+};
+
+constexpr GoldenDraw kGolden[] = {
+    {{0, 0}, 0x7e22e78fa6a306faULL, 0x9ca895847cd90faaULL, 0x1.f88b9e3e9a8cp-2,
+     0x1.11038b23d6907p-1, -0x1.f54cc3f92897fp-1},
+    {{7, 42}, 0xc72028c98bb9bedbULL, 0xdd1db08de4a1ee7eULL, 0x1.8e40519317737p-1,
+     -0x1.17dddbfd5c367p-2, -0x1.871743a289bc9p-2},
+    {{3, (1ULL << 32) + 5}, 0x637506d174cfbce6ULL, 0xb2d0884eef1e62d0ULL, 0x1.8dd41b45d33eep-2,
+     -0x1.4ab48da33b622p+0, -0x1.c48a56c49c942p-2},
+    {{(1ULL << 40) + 3, 9}, 0xc64782d15f83d236ULL, 0xcc3cd7bbdb8944eeULL, 0x1.8c8f05a2bf07ap-1,
+     0x1.056741d30a8fap-2, 0x1.610e71f65e66fp-3},
+};
+
+TEST(CounterRng, GoldenStreamIsPinned) {
+  const CounterRng rng(0x5f0b);
+  for (const GoldenDraw& g : kGolden) {
+    SCOPED_TRACE(testing::Message() << "key {" << g.key.stream << ", " << g.key.index << "}");
+    EXPECT_EQ(rng.bits(g.key), g.bits0);
+    EXPECT_EQ(rng.bits(g.key, 2), g.bits2);
+    EXPECT_EQ(rng.uniform(g.key), g.uniform);
+    EXPECT_EQ(rng.gaussian(g.key), g.gaussian0);
+    EXPECT_EQ(rng.gaussian(g.key, 2), g.gaussian2);
+  }
+}
+
+TEST(CounterRng, PrefixedDrawsMatchKeyedDraws) {
+  const CounterRng rng(0x5f0b);
+  for (const GoldenDraw& g : kGolden) {
+    const std::uint64_t prefix = rng.streamPrefix(g.key.stream);
+    EXPECT_EQ(sfopt::noise::bitsAt(prefix, g.key.index, 2), g.bits2);
+    EXPECT_EQ(sfopt::noise::gaussianAt(prefix, g.key.index), g.gaussian0);
+    EXPECT_EQ(sfopt::noise::gaussianAt(prefix, g.key.index, 2), g.gaussian2);
+  }
+}
+
+// The objectives' noise formulas, pinned at keys where f and the
+// per-sample scale are exact (sphere at dyadic points, scale 2).
+constexpr SampleKey kObjectiveKeys[] = {{3, 0}, {3, 1}, {11, (1ULL << 32) + 7}};
+
+TEST(NoisyFunction, GoldenSamplesArePinned) {
+  sfopt::noise::NoisyFunction::Options o;
+  o.sigma0 = 1.0;
+  o.sampleDuration = 0.25;
+  o.seed = 0x5f0b;
+  const sfopt::noise::NoisyFunction f(
+      2, [](std::span<const double> x) { return sfopt::testfunctions::sphere(x); }, o);
+  const std::vector<double> x{0.5, -1.25};
+  const double golden[] = {-0x1.8397124c18746p+1, 0x1.02827aae07f9bp+0, 0x1.f642a366aec44p+1};
+  for (std::size_t i = 0; i < std::size(golden); ++i) {
+    EXPECT_EQ(f.sample(x, kObjectiveKeys[i]), golden[i]) << "key " << i;
+  }
+}
+
+TEST(HeteroscedasticFunction, GoldenSamplesArePinned) {
+  const sfopt::noise::HeteroscedasticFunction f(
+      2, [](std::span<const double> x) { return sfopt::testfunctions::sphere(x); },
+      [](std::span<const double> x) { return 1.0 + std::abs(x[0]); });
+  const std::vector<double> x{1.0, -0.5};
+  const double golden[] = {0x1.aa4d5c40a18bbp+1, -0x1.0a13857df6d6ep+1, 0x1.a63ea72f93e9p-1};
+  for (std::size_t i = 0; i < std::size(golden); ++i) {
+    EXPECT_EQ(f.sample(x, kObjectiveKeys[i]), golden[i]) << "key " << i;
+  }
 }
 
 TEST(RngStream, AdvancesAndIsReproducible) {

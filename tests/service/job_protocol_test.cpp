@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <variant>
 
@@ -83,6 +85,17 @@ TEST(JobProtocol, ValidateRejectsMalformedSpecs) {
     s.objective.function = "powell";  // powell is dim-4 only
     EXPECT_THROW(s.validate(), std::runtime_error);
   }
+}
+
+TEST(JobProtocol, ValidateRejectsNonFiniteOrNegativeSigma0) {
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(), -0.25}) {
+    service::JobSpec s = sampleSpec();
+    s.objective.sigma0 = bad;
+    EXPECT_THROW(s.validate(), std::runtime_error) << bad;
+  }
+  service::JobSpec quiet = sampleSpec();
+  quiet.objective.sigma0 = 0.0;
+  EXPECT_NO_THROW(quiet.validate());
 }
 
 TEST(JobProtocol, MakeOptionsMapsAlgorithmAndPipelineKnobs) {

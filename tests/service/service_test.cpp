@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -256,6 +257,22 @@ TEST(Service, SubmittingPastTheAdmissionCapIsARetryableRejection) {
   // cancelled, nothing is left running.
   const service::StatusReply drained = client.status(0);
   EXPECT_EQ(drained.running, 0);
+}
+
+TEST(Service, NonFiniteSigma0IsANonRetryableRejection) {
+  Harness h(1);
+  h.start();
+  service::ServiceClient client("127.0.0.1", h.comm.port());
+  service::JobSpec nan = makeSpec("sphere", 2, "pc", 1, 5);
+  nan.objective.sigma0 = std::nan("");
+  const service::StatusReply reply = client.submit(nan);
+  EXPECT_EQ(reply.state, service::JobState::Rejected);
+  EXPECT_FALSE(reply.retryable);
+  EXPECT_NE(reply.detail.find("sigma0"), std::string::npos) << reply.detail;
+  // The rejection never entered the table; one tiny job lets the daemon exit.
+  const service::StatusReply ack = client.submit(makeSpec("sphere", 2, "det", 1, 5));
+  ASSERT_EQ(ack.state, service::JobState::Queued);
+  EXPECT_EQ(client.waitResult(60.0).state, service::JobState::Done);
 }
 
 TEST(Service, StatusForUnknownJobSaysSo) {

@@ -113,6 +113,22 @@ TEST(Cli, OptimizeRejectsBadInput) {
   EXPECT_EQ(cli({"optimize", "--box", "5,1"}).code, 2);
 }
 
+TEST(Cli, NonFiniteOrNegativeSigma0IsAUsageError) {
+  for (const std::string bad : {"nan", "inf", "-1"}) {
+    const auto r = cli({"optimize", "--function", "sphere", "--dim", "2", "--algorithm", "pc",
+                        "--sigma0", bad, "--max-iterations", "5"});
+    EXPECT_EQ(r.code, 2) << bad << ": " << r.out;
+    EXPECT_NE(r.err.find("sigma0"), std::string::npos) << bad << ": " << r.err;
+    EXPECT_EQ(cli({"probe", "--function", "sphere", "--dim", "2", "--sigma0", bad, "--point",
+                   "1,1"})
+                  .code,
+              2)
+        << bad;
+    EXPECT_EQ(cli({"water", "--sigma0", bad, "--max-iterations", "2"}).code, 2) << bad;
+    EXPECT_EQ(cli({"submit", "--port", "1", "--sigma0", bad}).code, 2) << bad;
+  }
+}
+
 TEST(Cli, ProbeReportsSigma) {
   const auto r = cli({"probe", "--function", "sphere", "--dim", "2", "--sigma0", "3",
                       "--point", "1,1", "--samples", "4000"});

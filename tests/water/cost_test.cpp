@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/algorithms.hpp"
 #include "stats/performance.hpp"
@@ -79,6 +80,19 @@ TEST(WaterCostObjective, NoiseFollowsDecayLaw) {
   EXPECT_NEAR(w.mean(), *obj.trueValue(x), 0.05);
 }
 
+TEST(WaterCostObjective, GoldenSamplesArePinned) {
+  // The default objective at the first Table 3.4a row: pins the surrogate
+  // cost and the noise stream on top of it, bit for bit.
+  const WaterCostObjective obj;
+  const std::vector<double> x{0.210, 3.00, 0.54};
+  EXPECT_EQ(*obj.trueValue(x), 0x1.e1988e0370322p+8);
+  const noise::SampleKey keys[] = {{1, 0}, {1, 1}, {5, (1ULL << 40) + 3}};
+  const double golden[] = {0x1.e1e2120fdbcfdp+8, 0x1.e218e08ec091p+8, 0x1.e0f1427f68901p+8};
+  for (std::size_t i = 0; i < std::size(golden); ++i) {
+    EXPECT_EQ(obj.sample(x, keys[i]), golden[i]) << "key " << i;
+  }
+}
+
 TEST(WaterCostObjective, TrueCostLowerNearStructuralOptimum) {
   WaterCostObjective obj;
   const auto opt = obj.surrogate().structuralOptimum();
@@ -94,6 +108,17 @@ TEST(WaterCostObjective, RejectsBadOptions) {
   WaterCostObjective::Options o2;
   o2.sampleDuration = 0.0;
   EXPECT_THROW(WaterCostObjective{o2}, std::invalid_argument);
+}
+
+TEST(WaterCostObjective, RejectsNonFiniteOrNegativeSigma0) {
+  for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity(), -0.5}) {
+    WaterCostObjective::Options o;
+    o.sigma0 = bad;
+    EXPECT_THROW(WaterCostObjective{o}, std::invalid_argument) << bad;
+  }
+  WaterCostObjective::Options zero;
+  zero.sigma0 = 0.0;
+  EXPECT_NO_THROW(WaterCostObjective{zero});
 }
 
 TEST(Table34InitialPoints, ShapeAndRanges) {

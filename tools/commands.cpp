@@ -63,7 +63,11 @@ noise::NoisyFunction makeObjective(const Args& args, std::size_t dim) {
   noise::NoisyFunction::Options o;
   o.sigma0 = args.getDouble("sigma0", 1.0);
   o.seed = static_cast<std::uint64_t>(args.getInt("seed", 2026));
-  return noise::NoisyFunction(dim, lookupFunction(fn), o);
+  try {
+    return noise::NoisyFunction(dim, lookupFunction(fn), o);
+  } catch (const std::invalid_argument& e) {
+    throw ArgError(e.what());
+  }
 }
 
 /// Initial simplex shared by `optimize` and `serve`: explicit --start
@@ -467,7 +471,13 @@ int runWaterCommand(const Args& args, std::ostream& out) {
   applyIsaFlag(args);
   water::WaterCostObjective::Options objOpts;
   objOpts.sigma0 = args.getDouble("sigma0", 0.2);
-  const water::WaterCostObjective objective(objOpts);
+  const water::WaterCostObjective objective = [&] {
+    try {
+      return water::WaterCostObjective(objOpts);
+    } catch (const std::invalid_argument& e) {
+      throw ArgError(e.what());
+    }
+  }();
   const auto rows = water::table34InitialPoints();
   const std::vector<core::Point> start(rows.begin(), rows.begin() + 4);
 
