@@ -5,8 +5,8 @@
 // Part 1 compares mw.worker_idle_fraction and wall time for sharded
 // (--shard-min-samples 64) vs unsharded batches at 1, 2 and 4 workers.
 // Both arms run through the async scheduler (the unsharded arm uses an
-// unreachable shard threshold) so the idle-fraction instrumentation,
-// which lives on the async dispatch path, sees the same traffic.
+// unreachable shard threshold), so the arms differ in sharding alone and
+// the figures stay comparable with the committed BENCH_pipeline.json.
 //
 // Part 2 runs PC with speculation on/off and reports the speculation hit
 // rate alongside engine.pc.rounds_per_comparison — the overlap does not
@@ -74,8 +74,8 @@ struct ShardRow {
 /// to a few small trial refreshes.  Unsharded, the dominant batch is a
 /// single indivisible task and W-1 workers wait for it; sharded, its chunks
 /// spread across the fleet.  Both arms run through the async scheduler (the
-/// unsharded arm uses an unreachable threshold) so the idle-fraction
-/// instrumentation sees the same dispatch traffic.
+/// unsharded arm uses an unreachable threshold), so they differ in sharding
+/// alone.
 ShardRow runShardArm(int workers, bool sharded) {
   constexpr int kRounds = 24;
   constexpr std::int64_t kDominant = 32'768;

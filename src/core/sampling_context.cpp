@@ -38,7 +38,6 @@ SamplingContext::SamplingContext(const noise::StochasticObjective& objective, Op
       EvalScheduler::Options sched;
       sched.shardMinSamples = options_.shardMinSamples;
       sched.speculate = options_.speculate;
-      sched.maxOutstandingShards = options_.maxOutstandingShards;
       sched.telemetry = options_.telemetry;
       scheduler_ = std::make_unique<EvalScheduler>(*async, sched);
     }

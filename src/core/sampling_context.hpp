@@ -57,8 +57,6 @@ class SamplingContext {
     /// virtual clock — when a round actually consumes them, so trajectories
     /// and the paper's time accounting are bitwise unchanged.
     bool speculate = false;
-    /// In-flight shard cap for the scheduler (0 = 2 x backend parallelism).
-    int maxOutstandingShards = 0;
     /// Observability spine for the scheduler's eval.* metrics (non-owning).
     telemetry::Telemetry* telemetry = nullptr;
   };

@@ -1,9 +1,9 @@
 #include "mw/mw_driver.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <deque>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -74,239 +74,36 @@ std::vector<MessageBuffer> MWDriver::executeBuffers(std::vector<MessageBuffer> i
   const std::size_t n = inputs.size();
   std::vector<MessageBuffer> results(n);
   if (n == 0) return results;
-
-  // Per-task state: the framed wire (kept for requeue on worker failure),
-  // the result slot, retry count, and the last worker that failed it.
-  struct TaskState {
-    std::vector<std::byte> wire;
-    std::size_t slot = 0;
-    int retries = 0;
-    Rank lastFailedOn = -1;
-    double enqueuedAt = 0.0;    ///< telemetry: last time it entered the queue
-    double dispatchedAt = 0.0;  ///< telemetry: last time it was sent out
-    std::uint64_t rootSpan = 0;
-    std::uint64_t remoteSpan = 0;
-  };
-  // Task-lifecycle telemetry: wall times come from the telemetry clock
-  // (injectable in tests) and are only read when a spine is attached.
-  const auto telNow = [&]() -> double {
-    return telemetry_ != nullptr ? telemetry_->clock().now() : 0.0;
-  };
   const double batchStart = telNow();
-  std::vector<double> workerBusySeconds(static_cast<std::size_t>(comm_.size()), 0.0);
-
-  std::unordered_map<std::uint64_t, TaskState> tasks;
-  std::deque<std::uint64_t> pending;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t id = nextTaskId_++;
-    // Frame: task id, then the caller's payload bytes (the wire format is
-    // a flat byte stream, so splicing is a concatenation).
-    MessageBuffer framed;
-    framed.pack(id);
-    std::vector<std::byte> wire = framed.releaseWire();
-    const auto& tail = inputs[i].wire();
-    wire.insert(wire.end(), tail.begin(), tail.end());
-    TaskState st{std::move(wire), i, 0, -1, batchStart, batchStart, 0, 0};
-    if (telemetry_ != nullptr) {
-      st.rootSpan = telemetry_->tracer().begin("shard.lifecycle", 0, id);
-    }
-    tasks.emplace(id, std::move(st));
-    pending.push_back(id);
-  }
-
-  // Dynamic dispatch over explicit free/busy worker state.  A worker that
-  // failed a task is not handed the same task again while another pairing
-  // is possible; when every assignable pairing is excluded and nothing is
-  // in flight, the exclusion is waived so progress is guaranteed.  Dead
-  // workers never receive tasks; inFlightId remembers what each busy
-  // worker is running so a lost worker's task can be requeued.
-  std::vector<bool> busy(static_cast<std::size_t>(comm_.size()), false);
-  std::vector<std::uint64_t> inFlightId(static_cast<std::size_t>(comm_.size()), 0);
-  int inFlight = 0;
-  ensureRank(comm_.size() - 1);
-  const auto growTo = [&](int worldSize) {
-    const auto s = static_cast<std::size_t>(worldSize);
-    if (busy.size() < s) {
-      busy.resize(s, false);
-      inFlightId.resize(s, 0);
-      workerBusySeconds.resize(s, 0.0);
-      ensureRank(worldSize - 1);
-    }
-  };
-  auto assign = [&](Rank worker, std::size_t pendingIndex) {
-    const std::uint64_t id = pending[pendingIndex];
-    TaskState& st = tasks.at(id);
-    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pendingIndex));
-    if (telemetry_ != nullptr) {
-      st.dispatchedAt = telNow();
-      telQueueWait_->observe(st.dispatchedAt - st.enqueuedAt);
-      telTasksDispatched_->add(1);
-      auto& tracer = telemetry_->tracer();
-      tracer.emitComplete("shard.queue", st.enqueuedAt, st.rootSpan, {},
-                          {{"attempt", static_cast<double>(st.retries)}}, id);
-      st.remoteSpan = tracer.begin("shard.remote", st.rootSpan, id);
-    }
-    comm_.send(0, worker, kTagTask, MessageBuffer(std::vector<std::byte>(st.wire)), id,
-               st.remoteSpan);
-    busy[static_cast<std::size_t>(worker)] = true;
-    inFlightId[static_cast<std::size_t>(worker)] = id;
-    ++inFlight;
-  };
-  auto dispatchAll = [&] {
-    growTo(comm_.size());
-    bool progressed = true;
-    while (progressed && !pending.empty()) {
-      progressed = false;
-      for (Rank w = 1; w < comm_.size() && !pending.empty(); ++w) {
-        if (busy[static_cast<std::size_t>(w)] || isDead(w)) continue;
-        for (std::size_t i = 0; i < pending.size(); ++i) {
-          if (tasks.at(pending[i]).lastFailedOn == w) continue;
-          assign(w, i);
-          progressed = true;
-          break;
-        }
-      }
-      if (!progressed && inFlight == 0 && !pending.empty()) {
-        // Every remaining pairing is excluded and nobody is working:
-        // waive the exclusion for the first free live worker.
-        for (Rank w = 1; w < comm_.size(); ++w) {
-          if (!busy[static_cast<std::size_t>(w)] && !isDead(w)) {
-            assign(w, 0);
-            progressed = true;
-            break;
-          }
-        }
-      }
-    }
-  };
-  // Requeue the task a worker failed (kTagError) or died holding
-  // (kTagWorkerLost).  Either way the attempt counts against the retry
-  // budget — a task that kills every worker it lands on must not cycle
-  // through the cluster forever.
-  auto requeueFrom = [&](Rank worker, std::uint64_t id, const std::string& why,
-                         const char* outcome) {
-    const auto it = tasks.find(id);
-    if (it == tasks.end()) {
-      throw std::runtime_error("MWDriver: failure report for unknown task id");
-    }
-    --inFlight;
-    ++tasksRequeued_;
-    busy[static_cast<std::size_t>(worker)] = false;
-    inFlightId[static_cast<std::size_t>(worker)] = 0;
-    TaskState& st = it->second;
-    st.lastFailedOn = worker;
-    if (telemetry_ != nullptr) {
-      // Failed attempts still occupied the worker; count the time as busy
-      // so utilization reflects wasted capacity, and restart the task's
-      // queue-wait clock for the retry.
-      workerBusySeconds[static_cast<std::size_t>(worker)] += telNow() - st.dispatchedAt;
-      telTasksRequeued_->add(1);
-      st.enqueuedAt = telNow();
-      telemetry_->tracer().end(st.remoteSpan, {{"outcome", outcome}},
-                               {{"rank", static_cast<double>(worker)}});
-      st.remoteSpan = 0;
-    }
-    if (++st.retries > maxRetries_) {
-      if (telemetry_ != nullptr) {
-        telemetry_->tracer().end(st.rootSpan, {{"outcome", "failed"}},
-                                 {{"requeues", static_cast<double>(st.retries)}});
-      }
-      throw std::runtime_error("MWDriver: task failed after " +
-                               std::to_string(maxRetries_) + " retries: " + why);
-    }
-    pending.push_front(id);
-  };
-  dispatchAll();
-
-  std::size_t done = 0;
-  while (done < n) {
-    std::optional<Message> maybe = comm_.recvFor(0, recvTimeoutSeconds_);
-    if (!maybe.has_value()) {
+  std::fill(busySeconds_.begin(), busySeconds_.end(), 0.0);
+  // Ids are handed out consecutively, so this batch owns [first, first + n).
+  const std::uint64_t first = nextTaskId_;
+  for (MessageBuffer& input : inputs) (void)submit(std::move(input));
+  for (std::size_t done = 0; done < n;) {
+    std::optional<Message> msg = comm_.recvFor(0, recvTimeoutSeconds_);
+    if (!msg.has_value()) {
       throw std::runtime_error(
           "MWDriver: no worker message for " + std::to_string(recvTimeoutSeconds_) +
           "s with " + std::to_string(n - done) + " task(s) outstanding");
     }
-    Message msg = std::move(*maybe);
-    if (msg.tag == kTagResult) {
-      const std::uint64_t id = msg.payload.unpackUint64();
-      growTo(msg.source + 1);
-      const auto it = tasks.find(id);
-      // A completion for a task we no longer track, or from a rank that is
-      // not its current holder, is a duplicated or reordered frame (the
-      // fabric can replay a ghosted rank's traffic across a reconnect).
-      // Discard it without touching the busy/inFlight bookkeeping — the
-      // real holder's identical result is the one that folds.
-      if (it == tasks.end() || inFlightId[static_cast<std::size_t>(msg.source)] != id) {
-        ++staleResultsDiscarded_;
-        if (telStaleDiscards_ != nullptr) telStaleDiscards_->add(1);
-        continue;
-      }
-      if (telemetry_ != nullptr) {
-        const double d = telNow() - it->second.dispatchedAt;
-        telExecute_->observe(d);
-        workerBusySeconds[static_cast<std::size_t>(msg.source)] += d;
-        telTasksCompleted_->add(1);
-        auto& tracer = telemetry_->tracer();
-        tracer.end(it->second.remoteSpan, {{"outcome", "ok"}},
-                   {{"rank", static_cast<double>(msg.source)}});
-        // The sync path folds the result into its slot right here, so the
-        // terminal marker is a zero-duration span at completion time.
-        tracer.emitComplete("shard.folded", telNow(), it->second.rootSpan, {}, {}, id);
-        tracer.end(it->second.rootSpan, {{"outcome", "ok"}},
-                   {{"requeues", static_cast<double>(it->second.retries)}});
-      }
-      results[it->second.slot] = std::move(msg.payload);
-      tasks.erase(it);
-      ++done;
-      ++tasksCompleted_;
-      --inFlight;
-      busy[static_cast<std::size_t>(msg.source)] = false;
-      inFlightId[static_cast<std::size_t>(msg.source)] = 0;
-      dispatchAll();
-    } else if (msg.tag == kTagError) {
-      const std::uint64_t id = msg.payload.unpackUint64();
-      const std::string what = msg.payload.unpackString();
-      growTo(msg.source + 1);
-      // Only honour the report if this worker really is running this task:
-      // a duplicate or stray error would otherwise double-queue the task
-      // and corrupt the busy/inFlight bookkeeping.
-      if (busy[static_cast<std::size_t>(msg.source)] &&
-          inFlightId[static_cast<std::size_t>(msg.source)] == id) {
-        requeueFrom(msg.source, id, what, "error");
-        dispatchAll();
-      } else {
-        ++staleResultsDiscarded_;
-        if (telStaleDiscards_ != nullptr) telStaleDiscards_->add(1);
-      }
-    } else if (msg.tag == net::kTagWorkerLost) {
-      const Rank lost = msg.source;
-      growTo(lost + 1);
-      if (!isDead(lost)) {
-        dead_[static_cast<std::size_t>(lost)] = true;
-        ++workersLost_;
-        if (telemetry_ != nullptr) telWorkersLost_->add(1);
-      }
-      if (busy[static_cast<std::size_t>(lost)]) {
-        requeueFrom(lost, inFlightId[static_cast<std::size_t>(lost)],
-                    "worker rank " + std::to_string(lost) + " lost", "lost");
-      }
-      if (liveWorkerCount() == 0) {
-        throw std::runtime_error("MWDriver: every worker is lost with " +
-                                 std::to_string(n - done) + " task(s) outstanding");
-      }
-      dispatchAll();
-    } else if (msg.tag == net::kTagWorkerJoined) {
-      growTo(msg.source + 1);
-      dispatchAll();
+    handleMessage(std::move(*msg));
+    // A message completes at most one task, appended last; a completion
+    // that is not this batch's stays queued for poll()/drain().
+    if (ready_.empty() || ready_.back().id - first >= n) continue;
+    AsyncCompletion& c = ready_.back();
+    if (telemetry_ != nullptr) {
+      telemetry_->tracer().emitComplete("shard.folded", telNow(), 0, {}, {}, c.id);
     }
-    // Stray tags are ignored.
+    results[c.id - first] = std::move(c.payload);
+    ready_.pop_back();
+    ++done;
   }
   if (telemetry_ != nullptr) {
     const double elapsed = telNow() - batchStart;
     if (elapsed > 0.0) {
-      for (Rank w = 1; w < comm_.size() && static_cast<std::size_t>(w) < workerBusySeconds.size();
+      for (Rank w = 1; w < comm_.size() && static_cast<std::size_t>(w) < busySeconds_.size();
            ++w) {
-        telUtilization_->observe(workerBusySeconds[static_cast<std::size_t>(w)] / elapsed);
+        telUtilization_->observe(busySeconds_[static_cast<std::size_t>(w)] / elapsed);
       }
     }
     telBatches_->add(1);
@@ -333,36 +130,43 @@ void MWDriver::executeTasks(std::span<MWTask* const> tasks) {
   }
 }
 
-void MWDriver::asyncGrowTo(int worldSize) {
+void MWDriver::growTo(int worldSize) {
   const auto s = static_cast<std::size_t>(worldSize);
-  if (asyncBusy_.size() < s) {
-    asyncBusy_.resize(s, false);
-    asyncInFlightId_.resize(s, 0);
-    asyncGhostId_.resize(s, 0);
+  if (busy_.size() < s) {
+    busy_.resize(s, false);
+    inFlightId_.resize(s, 0);
+    ghostId_.resize(s, 0);
+    busySeconds_.resize(s, 0.0);
     ensureRank(worldSize - 1);
   }
 }
 
 int MWDriver::holdersOf(std::uint64_t id) const noexcept {
   int n = 0;
-  for (const std::uint64_t held : asyncInFlightId_) n += held == id ? 1 : 0;
+  for (const std::uint64_t held : inFlightId_) n += held == id ? 1 : 0;
   return n;
 }
 
 void MWDriver::releaseRank(Rank worker) {
   const auto w = static_cast<std::size_t>(worker);
-  asyncBusy_[w] = false;
-  asyncInFlightId_[w] = 0;
-  asyncGhostId_[w] = 0;
-  --asyncInFlight_;
+  busy_[w] = false;
+  inFlightId_[w] = 0;
+  ghostId_[w] = 0;
+  --inFlight_;
 }
 
-void MWDriver::asyncDispatch() {
-  asyncGrowTo(comm_.size());
+// Dynamic dispatch over explicit free/busy worker state.  A worker that
+// failed a task is not handed the same task again while another pairing is
+// possible; when every assignable pairing is excluded and nothing is in
+// flight, the exclusion is waived so progress is guaranteed.  Dead workers
+// never receive tasks; inFlightId_ remembers what each busy worker is
+// running so a lost worker's task can be requeued.
+void MWDriver::dispatch() {
+  growTo(comm_.size());
   const auto assign = [&](Rank worker, std::size_t pendingIndex) {
-    const std::uint64_t id = asyncPending_[pendingIndex];
-    AsyncTask& st = asyncTasks_.at(id);
-    asyncPending_.erase(asyncPending_.begin() + static_cast<std::ptrdiff_t>(pendingIndex));
+    const std::uint64_t id = pending_[pendingIndex];
+    Task& st = tasks_.at(id);
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(pendingIndex));
     if (telemetry_ != nullptr) {
       st.dispatchedAt = telNow();
       telQueueWait_->observe(st.dispatchedAt - st.enqueuedAt);
@@ -375,27 +179,27 @@ void MWDriver::asyncDispatch() {
     comm_.send(0, worker, kTagTask, MessageBuffer(std::vector<std::byte>(st.wire)), st.trace,
                st.remoteSpan);
     st.dispatchedSteady = steadySeconds();
-    asyncBusy_[static_cast<std::size_t>(worker)] = true;
-    asyncInFlightId_[static_cast<std::size_t>(worker)] = id;
-    ++asyncInFlight_;
+    busy_[static_cast<std::size_t>(worker)] = true;
+    inFlightId_[static_cast<std::size_t>(worker)] = id;
+    ++inFlight_;
   };
   bool progressed = true;
-  while (progressed && !asyncPending_.empty()) {
+  while (progressed && !pending_.empty()) {
     progressed = false;
-    for (Rank w = 1; w < comm_.size() && !asyncPending_.empty(); ++w) {
-      if (asyncBusy_[static_cast<std::size_t>(w)] || isDead(w)) continue;
-      for (std::size_t i = 0; i < asyncPending_.size(); ++i) {
-        if (asyncTasks_.at(asyncPending_[i]).lastFailedOn == w) continue;
+    for (Rank w = 1; w < comm_.size() && !pending_.empty(); ++w) {
+      if (busy_[static_cast<std::size_t>(w)] || isDead(w)) continue;
+      for (std::size_t i = 0; i < pending_.size(); ++i) {
+        if (tasks_.at(pending_[i]).lastFailedOn == w) continue;
         assign(w, i);
         progressed = true;
         break;
       }
     }
-    if (!progressed && asyncInFlight_ == 0 && !asyncPending_.empty()) {
+    if (!progressed && inFlight_ == 0 && !pending_.empty()) {
       // Every remaining pairing is excluded and nobody is working:
       // waive the failed-on exclusion for the first free live worker.
       for (Rank w = 1; w < comm_.size(); ++w) {
-        if (!asyncBusy_[static_cast<std::size_t>(w)] && !isDead(w)) {
+        if (!busy_[static_cast<std::size_t>(w)] && !isDead(w)) {
           assign(w, 0);
           progressed = true;
           break;
@@ -405,19 +209,26 @@ void MWDriver::asyncDispatch() {
   }
 }
 
-void MWDriver::asyncRequeue(Rank worker, std::uint64_t id, const std::string& why,
-                            const char* outcome) {
-  const auto it = asyncTasks_.find(id);
-  if (it == asyncTasks_.end()) {
+// Requeue the task a worker failed (kTagError) or died holding
+// (kTagWorkerLost).  Either way the attempt counts against the retry
+// budget: a task that kills every worker it lands on must not cycle
+// through the cluster forever.
+void MWDriver::requeue(Rank worker, std::uint64_t id, const std::string& why,
+                       const char* outcome) {
+  const auto it = tasks_.find(id);
+  if (it == tasks_.end()) {
     throw std::runtime_error("MWDriver: failure report for unknown task id");
   }
-  --asyncInFlight_;
+  --inFlight_;
   ++tasksRequeued_;
-  asyncBusy_[static_cast<std::size_t>(worker)] = false;
-  asyncInFlightId_[static_cast<std::size_t>(worker)] = 0;
-  AsyncTask& st = it->second;
+  busy_[static_cast<std::size_t>(worker)] = false;
+  inFlightId_[static_cast<std::size_t>(worker)] = 0;
+  Task& st = it->second;
   st.lastFailedOn = worker;
   if (telemetry_ != nullptr) {
+    // The failed attempt still occupied the worker: count it as busy so
+    // utilization reflects wasted capacity, and restart the queue clock.
+    busySeconds_[static_cast<std::size_t>(worker)] += telNow() - st.dispatchedAt;
     telTasksRequeued_->add(1);
     st.enqueuedAt = telNow();
     telemetry_->tracer().end(st.remoteSpan, {{"outcome", outcome}},
@@ -432,7 +243,7 @@ void MWDriver::asyncRequeue(Rank worker, std::uint64_t id, const std::string& wh
     throw std::runtime_error("MWDriver: task failed after " + std::to_string(maxRetries_) +
                              " retries: " + why);
   }
-  asyncPending_.push_front(id);
+  pending_.push_front(id);
 }
 
 void MWDriver::observeIdleFraction() {
@@ -442,8 +253,8 @@ void MWDriver::observeIdleFraction() {
   for (Rank w = 1; w < comm_.size(); ++w) {
     if (isDead(w)) continue;
     ++live;
-    if (static_cast<std::size_t>(w) < asyncBusy_.size() &&
-        asyncBusy_[static_cast<std::size_t>(w)]) {
+    if (static_cast<std::size_t>(w) < busy_.size() &&
+        busy_[static_cast<std::size_t>(w)]) {
       ++busy;
     }
   }
@@ -453,28 +264,28 @@ void MWDriver::observeIdleFraction() {
   }
 }
 
-void MWDriver::handleAsyncMessage(Message msg) {
-  ++asyncMessagesHandled_;
+void MWDriver::handleMessage(Message msg) {
+  ++messagesHandled_;
   if (msg.tag == kTagResult) {
     const std::uint64_t id = msg.payload.unpackUint64();
-    asyncGrowTo(msg.source + 1);
+    growTo(msg.source + 1);
     const auto src = static_cast<std::size_t>(msg.source);
-    if (id != 0 && asyncGhostId_[src] == id) {
+    if (id != 0 && ghostId_[src] == id) {
       // The losing copy of a speculated shard reporting after the winner:
       // discard the (identical) payload and put the worker back to work.
       releaseRank(msg.source);
       ++speculativeDiscards_;
       if (telSpecDiscards_ != nullptr) telSpecDiscards_->add(1);
-      asyncDispatch();
+      dispatch();
       observeIdleFraction();
       return;
     }
-    const auto it = asyncTasks_.find(id);
+    const auto it = tasks_.find(id);
     // Duplicated or reordered-across-reconnect completion: the task is
     // already folded (or requeued to another holder).  Discard it without
     // touching any rank's dispatch state — releasing msg.source here would
     // corrupt the bookkeeping for whatever that rank is really running.
-    if (it == asyncTasks_.end() || asyncInFlightId_[src] != id) {
+    if (it == tasks_.end() || inFlightId_[src] != id) {
       ++staleResultsDiscarded_;
       if (telStaleDiscards_ != nullptr) telStaleDiscards_->add(1);
       return;
@@ -483,57 +294,60 @@ void MWDriver::handleAsyncMessage(Message msg) {
     executeEwma_ =
         executeEwma_ <= 0.0 ? execSeconds : 0.8 * executeEwma_ + 0.2 * execSeconds;
     if (telemetry_ != nullptr) {
-      telExecute_->observe(telNow() - it->second.dispatchedAt);
+      const double d = telNow() - it->second.dispatchedAt;
+      telExecute_->observe(d);
+      busySeconds_[src] += d;
       telTasksCompleted_->add(1);
       auto& tracer = telemetry_->tracer();
       tracer.end(it->second.remoteSpan, {{"outcome", "ok"}},
                  {{"rank", static_cast<double>(msg.source)}});
-      // No terminal marker here: the async consumer (EvalScheduler) decides
-      // whether this completion is folded or discarded and traces that.
+      // No terminal marker here: whoever consumes the completion
+      // (executeBuffers, EvalScheduler, the service) decides whether it is
+      // folded or discarded and traces that.
       tracer.end(it->second.rootSpan, {{"outcome", "ok"}},
                  {{"requeues", static_cast<double>(it->second.retries)}});
     }
-    asyncTasks_.erase(it);
+    tasks_.erase(it);
     ++tasksCompleted_;
-    --asyncInFlight_;
-    asyncBusy_[src] = false;
-    asyncInFlightId_[src] = 0;
+    --inFlight_;
+    busy_[src] = false;
+    inFlightId_[src] = 0;
     // Any other rank still running a copy of this task becomes a ghost:
     // it stays busy until its late report arrives and is discarded.
-    for (std::size_t r = 0; r < asyncInFlightId_.size(); ++r) {
-      if (r != src && asyncInFlightId_[r] == id) {
-        asyncGhostId_[r] = id;
-        asyncInFlightId_[r] = 0;
+    for (std::size_t r = 0; r < inFlightId_.size(); ++r) {
+      if (r != src && inFlightId_[r] == id) {
+        ghostId_[r] = id;
+        inFlightId_[r] = 0;
       }
     }
-    asyncReady_.push_back(AsyncCompletion{id, std::move(msg.payload)});
-    asyncDispatch();
+    ready_.push_back(AsyncCompletion{id, std::move(msg.payload)});
+    dispatch();
     // Sampled at every completion: how much of the live fleet sits idle
     // right after redispatch.  Sharding exists to push this toward zero.
     observeIdleFraction();
   } else if (msg.tag == kTagError) {
     const std::uint64_t id = msg.payload.unpackUint64();
     const std::string what = msg.payload.unpackString();
-    asyncGrowTo(msg.source + 1);
+    growTo(msg.source + 1);
     const auto src = static_cast<std::size_t>(msg.source);
-    if (id != 0 && asyncGhostId_[src] == id) {
+    if (id != 0 && ghostId_[src] == id) {
       releaseRank(msg.source);
       ++speculativeDiscards_;
       if (telSpecDiscards_ != nullptr) telSpecDiscards_->add(1);
-      asyncDispatch();
-    } else if (asyncBusy_[src] && asyncInFlightId_[src] == id) {
+      dispatch();
+    } else if (busy_[src] && inFlightId_[src] == id) {
       if (holdersOf(id) > 1) {
         // The other copy of this speculated shard is still out; dropping
         // this one loses nothing and must not count against the retry
         // budget or requeue a task that is not actually stranded.
-        if (const auto it = asyncTasks_.find(id); it != asyncTasks_.end()) {
+        if (const auto it = tasks_.find(id); it != tasks_.end()) {
           it->second.lastFailedOn = msg.source;
         }
         releaseRank(msg.source);
-        asyncDispatch();
+        dispatch();
       } else {
-        asyncRequeue(msg.source, id, what, "error");
-        asyncDispatch();
+        requeue(msg.source, id, what, "error");
+        dispatch();
       }
     } else {
       // A failure report for a task this rank no longer holds: a stale or
@@ -543,52 +357,51 @@ void MWDriver::handleAsyncMessage(Message msg) {
     }
   } else if (msg.tag == net::kTagWorkerLost) {
     const Rank lost = msg.source;
-    asyncGrowTo(lost + 1);
+    growTo(lost + 1);
     if (!isDead(lost)) {
       dead_[static_cast<std::size_t>(lost)] = true;
       ++workersLost_;
       if (telemetry_ != nullptr) telWorkersLost_->add(1);
     }
     const auto li = static_cast<std::size_t>(lost);
-    if (asyncGhostId_[li] != 0) {
+    if (ghostId_[li] != 0) {
       releaseRank(lost);
       ++speculativeDiscards_;
       if (telSpecDiscards_ != nullptr) telSpecDiscards_->add(1);
-    } else if (asyncBusy_[li]) {
-      const std::uint64_t held = asyncInFlightId_[li];
+    } else if (busy_[li]) {
+      const std::uint64_t held = inFlightId_[li];
       if (holdersOf(held) > 1) {
         releaseRank(lost);
       } else {
-        asyncRequeue(lost, held, "worker rank " + std::to_string(lost) + " lost", "lost");
+        requeue(lost, held, "worker rank " + std::to_string(lost) + " lost", "lost");
       }
     }
-    if (liveWorkerCount() == 0 && !asyncTasks_.empty()) {
+    if (liveWorkerCount() == 0 && !tasks_.empty()) {
       throw std::runtime_error("MWDriver: every worker is lost with " +
-                               std::to_string(asyncTasks_.size()) +
-                               " async task(s) outstanding");
+                               std::to_string(tasks_.size()) + " task(s) outstanding");
     }
-    asyncDispatch();
+    dispatch();
   } else if (msg.tag == net::kTagWorkerJoined) {
-    asyncGrowTo(msg.source + 1);
-    asyncDispatch();
+    growTo(msg.source + 1);
+    dispatch();
   }
   // Stray tags are ignored.
 }
 
 void MWDriver::maybeSpeculate() {
-  if (speculativeFactor_ <= 0.0 || executeEwma_ <= 0.0 || asyncInFlight_ == 0 ||
-      !asyncPending_.empty()) {
+  if (speculativeFactor_ <= 0.0 || executeEwma_ <= 0.0 || inFlight_ == 0 ||
+      !pending_.empty()) {
     return;
   }
-  asyncGrowTo(comm_.size());
+  growTo(comm_.size());
   const double now = steadySeconds();
   const double threshold = speculativeFactor_ * executeEwma_;
-  for (auto& [id, st] : asyncTasks_) {
+  for (auto& [id, st] : tasks_) {
     if (holdersOf(id) != 1) continue;  // not dispatched, or already duplicated
     if (now - st.dispatchedSteady <= threshold) continue;
     Rank chosen = -1;
     for (Rank w = 1; w < comm_.size(); ++w) {
-      if (asyncBusy_[static_cast<std::size_t>(w)] || isDead(w)) continue;
+      if (busy_[static_cast<std::size_t>(w)] || isDead(w)) continue;
       chosen = w;
       break;
     }
@@ -597,9 +410,9 @@ void MWDriver::maybeSpeculate() {
     // the canonical payload, so the race cannot change any result bit.
     comm_.send(0, chosen, kTagTask, MessageBuffer(std::vector<std::byte>(st.wire)), st.trace,
                st.remoteSpan);
-    asyncBusy_[static_cast<std::size_t>(chosen)] = true;
-    asyncInFlightId_[static_cast<std::size_t>(chosen)] = id;
-    ++asyncInFlight_;
+    busy_[static_cast<std::size_t>(chosen)] = true;
+    inFlightId_[static_cast<std::size_t>(chosen)] = id;
+    ++inFlight_;
     ++speculativeDuplicates_;
     if (telSpecDuplicates_ != nullptr) telSpecDuplicates_->add(1);
   }
@@ -608,58 +421,60 @@ void MWDriver::maybeSpeculate() {
 std::uint64_t MWDriver::submit(MessageBuffer input, std::uint64_t trace) {
   if (shutDown_) throw std::logic_error("MWDriver: already shut down");
   const std::uint64_t id = nextTaskId_++;
+  // Frame: task id, then the caller's payload bytes (the wire format is a
+  // flat byte stream, so splicing is a concatenation).
   MessageBuffer framed;
   framed.pack(id);
   std::vector<std::byte> wire = framed.releaseWire();
   const auto& tail = input.wire();
   wire.insert(wire.end(), tail.begin(), tail.end());
   const double now = telNow();
-  AsyncTask st{std::move(wire), 0, -1, now, now, 0.0, 0, 0, trace != 0 ? trace : id};
+  Task st{std::move(wire), 0, -1, now, now, 0.0, 0, 0, trace != 0 ? trace : id};
   if (telemetry_ != nullptr) {
     st.rootSpan = telemetry_->tracer().begin("shard.lifecycle", 0, st.trace);
   }
-  asyncTasks_.emplace(id, std::move(st));
-  asyncPending_.push_back(id);
-  asyncDispatch();
+  tasks_.emplace(id, std::move(st));
+  pending_.push_back(id);
+  dispatch();
   return id;
 }
 
 std::vector<MWDriver::AsyncCompletion> MWDriver::poll(double timeoutSeconds) {
   if (shutDown_) throw std::logic_error("MWDriver: already shut down");
   // Drain whatever already arrived without waiting.
-  while (auto msg = comm_.tryRecv(0)) handleAsyncMessage(std::move(*msg));
+  while (auto msg = comm_.tryRecv(0)) handleMessage(std::move(*msg));
   maybeSpeculate();
-  if (!asyncReady_.empty() || asyncTasks_.empty() || timeoutSeconds <= 0.0) {
-    return std::exchange(asyncReady_, {});
+  if (!ready_.empty() || tasks_.empty() || timeoutSeconds <= 0.0) {
+    return std::exchange(ready_, {});
   }
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeoutSeconds);
-  while (asyncReady_.empty()) {
+  while (ready_.empty()) {
     const double remaining =
         std::chrono::duration<double>(deadline - std::chrono::steady_clock::now()).count();
     if (remaining <= 0.0) break;
     auto msg = comm_.recvFor(0, remaining);
     if (!msg.has_value()) break;
-    handleAsyncMessage(std::move(*msg));
-    while (auto extra = comm_.tryRecv(0)) handleAsyncMessage(std::move(*extra));
+    handleMessage(std::move(*msg));
+    while (auto extra = comm_.tryRecv(0)) handleMessage(std::move(*extra));
     maybeSpeculate();
   }
-  return std::exchange(asyncReady_, {});
+  return std::exchange(ready_, {});
 }
 
 std::vector<MWDriver::AsyncCompletion> MWDriver::drain() {
-  std::vector<AsyncCompletion> all = std::exchange(asyncReady_, {});
-  while (!asyncTasks_.empty()) {
+  std::vector<AsyncCompletion> all = std::exchange(ready_, {});
+  while (!tasks_.empty()) {
     // A window may yield no completions yet still make progress: an error
     // or worker-lost message requeues the task mid-window.  Only a window
     // with no messages at all means the fabric is silent; a just-requeued
     // task gets a fresh window.
-    const std::uint64_t before = asyncMessagesHandled_;
+    const std::uint64_t before = messagesHandled_;
     auto got = poll(recvTimeoutSeconds_);
-    if (got.empty() && asyncMessagesHandled_ == before && !asyncTasks_.empty()) {
+    if (got.empty() && messagesHandled_ == before && !tasks_.empty()) {
       throw std::runtime_error(
           "MWDriver: no worker message for " + std::to_string(recvTimeoutSeconds_) + "s with " +
-          std::to_string(asyncTasks_.size()) + " async task(s) outstanding");
+          std::to_string(tasks_.size()) + " task(s) outstanding");
     }
     for (auto& c : got) all.push_back(std::move(c));
   }
@@ -668,12 +483,13 @@ std::vector<MWDriver::AsyncCompletion> MWDriver::drain() {
 
 void MWDriver::shutdown() {
   if (shutDown_) return;
-  // Close out the span tree of any async task still in flight (typically
-  // speculative shards the run no longer needs): without this, their
-  // lifecycle spans would never emit and the trace would have orphans.
+  // Close out the span tree of any task still queued or in flight
+  // (speculative shards the run no longer needs, or what a throwing batch
+  // left behind): without this, their lifecycle spans would never emit and
+  // the trace would have orphans.
   if (telemetry_ != nullptr) {
     auto& tracer = telemetry_->tracer();
-    for (auto& [id, task] : asyncTasks_) {
+    for (auto& [id, task] : tasks_) {
       if (task.remoteSpan != 0) {
         tracer.end(task.remoteSpan, {{"outcome", "abandoned"}}, {});
         task.remoteSpan = 0;

@@ -25,22 +25,30 @@ namespace sfopt::mw {
 /// the distributed TcpCommWorld); workers occupy ranks 1..size-1.  Tasks
 /// are dispatched dynamically: every worker gets one task up front, and
 /// each completed result immediately frees its worker for the next queued
-/// task, so stragglers do not serialize the batch.
+/// task, so stragglers do not serialize the work.
+///
+/// One task table, one dispatch loop and one message handler serve both
+/// entry points: submit()/poll()/drain() hand tasks in and completions out
+/// as they finish, and executeBuffers() is a blocking batch built on the
+/// same core — it submits its inputs and waits for exactly those ids.
 ///
 /// Worker failure is part of the protocol, not an afterthought: a
 /// kTagError reply requeues the task elsewhere, a kTagWorkerLost control
 /// message (synthesized by the transport on disconnect or heartbeat
 /// silence) marks the rank dead and requeues whatever it was running, and
 /// a kTagWorkerJoined message grows the dispatch state so a fresh worker
-/// starts pulling tasks mid-batch.
+/// starts pulling tasks at once.
 class MWDriver {
  public:
   explicit MWDriver(net::Transport& comm);
 
   /// Execute a batch of already-marshaled task inputs; returns the result
-  /// buffers in task order.  Blocks until every task completes.  Throws
-  /// when a task exhausts its retry budget, when every worker is lost, or
-  /// when no message arrives within the receive timeout.
+  /// buffers in input order.  submit()s every input, then waits for
+  /// exactly those ids: completions of tasks submitted separately stay
+  /// queued for the next poll()/drain().  Throws when a task exhausts its
+  /// retry budget, when every worker is lost, or when no worker message
+  /// arrives within the receive timeout; the batch's unfinished tasks then
+  /// stay in the table (shutdown() closes their spans as abandoned).
   [[nodiscard]] std::vector<MessageBuffer> executeBuffers(std::vector<MessageBuffer> inputs);
 
   /// Typed convenience: marshal each task's input, execute the batch, and
@@ -54,16 +62,13 @@ class MWDriver {
     MessageBuffer payload;
   };
 
-  /// Non-blocking pipeline API, alongside executeBuffers: submit() enqueues
-  /// one task (dispatching it immediately when a worker is free) and
-  /// returns its id; poll() waits up to `timeoutSeconds` for at least one
-  /// completion (0 = drain only) and returns everything finished so far;
-  /// drain() blocks until nothing is outstanding.  Completions arrive in
-  /// completion order, not submit order.  Worker failure and loss follow
-  /// the same retry/requeue protocol as executeBuffers, so a shard whose
-  /// worker dies is re-dispatched transparently.  Do not interleave
-  /// executeBuffers with async tasks outstanding — both read the same
-  /// mailbox and would steal each other's messages.
+  /// Non-blocking pipeline API: submit() enqueues one task (dispatching it
+  /// immediately when a worker is free) and returns its id; poll() waits
+  /// up to `timeoutSeconds` for at least one completion (0 = drain only)
+  /// and returns everything finished so far; drain() blocks until nothing
+  /// is outstanding.  Completions arrive in completion order, not submit
+  /// order.  A shard whose worker fails or dies is requeued and
+  /// re-dispatched transparently.
   ///
   /// `trace`, when nonzero, is used verbatim as the distributed trace id
   /// stamped on the task's spans and wire messages (0 keeps the legacy
@@ -77,8 +82,8 @@ class MWDriver {
   [[nodiscard]] std::vector<AsyncCompletion> poll(double timeoutSeconds);
   [[nodiscard]] std::vector<AsyncCompletion> drain();
 
-  /// Async tasks submitted but not yet completed (pending + in flight).
-  [[nodiscard]] std::size_t outstanding() const noexcept { return asyncTasks_.size(); }
+  /// Tasks submitted but not yet completed (pending + in flight).
+  [[nodiscard]] std::size_t outstanding() const noexcept { return tasks_.size(); }
 
   /// Send a shutdown message to every live worker.  Idempotent.
   void shutdown();
@@ -96,18 +101,19 @@ class MWDriver {
   /// Workers declared lost (disconnect / heartbeat silence).
   [[nodiscard]] std::uint64_t workersLost() const noexcept { return workersLost_; }
 
-  /// Per-task retry budget before executeBuffers gives up and throws.
+  /// Per-task retry budget; exhausting it throws out of the call that
+  /// handles the last failure report.
   void setMaxRetries(int retries) { maxRetries_ = retries; }
   [[nodiscard]] int maxRetries() const noexcept { return maxRetries_; }
 
-  /// Longest silence executeBuffers tolerates while tasks are in flight
-  /// before concluding the run is wedged and throwing.  Generous default:
-  /// transports already convert dead workers into kTagWorkerLost well
-  /// before this fires; it is the backstop, not the detector.
+  /// Longest silence executeBuffers() and drain() tolerate while tasks are
+  /// in flight before concluding the run is wedged and throwing.  Generous
+  /// default: transports already convert dead workers into kTagWorkerLost
+  /// well before this fires; it is the backstop, not the detector.
   void setRecvTimeout(double seconds) { recvTimeoutSeconds_ = seconds; }
   [[nodiscard]] double recvTimeout() const noexcept { return recvTimeoutSeconds_; }
 
-  /// Straggler mitigation on the async path: once a dispatched task has
+  /// Straggler mitigation in poll()/drain(): once a dispatched task has
   /// been out longer than `factor` times the EWMA of observed execute
   /// times, duplicate-dispatch it to an idle live worker.  First
   /// completion wins; the loser's late result is discarded against the
@@ -139,15 +145,18 @@ class MWDriver {
   /// Attach the observability spine (non-owning; must outlive the driver).
   /// Pre-registers the task-lifecycle metrics — queue-wait and execute
   /// histograms, per-worker utilization, completion/requeue counters — and
-  /// emits one `mw.batch` span per executeBuffers call.
+  /// emits one `mw.batch` span per executeBuffers call.  Per-rank busy
+  /// seconds (failed attempts included) are kept only while a spine is
+  /// attached; each batch observes its share as `mw.worker.utilization`.
   ///
   /// With a spine attached every task additionally becomes a span tree
-  /// keyed by its task id as the distributed trace id: one
-  /// `shard.lifecycle` root per task, a `shard.queue` child per dispatch
-  /// attempt, and a `shard.remote` child covering wire + worker execution
-  /// (ended with outcome ok / requeued / lost).  The trace context rides
-  /// the transport envelope, so a worker's `worker.execute` span parents
-  /// under the matching `shard.remote`.
+  /// keyed by its trace id: one `shard.lifecycle` root per task, a
+  /// `shard.queue` child per dispatch attempt, and a `shard.remote` child
+  /// covering wire + worker execution (ended with outcome ok / error /
+  /// lost).  executeBuffers ends each tree with a `shard.folded` marker as
+  /// the result lands in its slot; submit() callers emit their own.  The
+  /// trace context rides the transport envelope, so a worker's
+  /// `worker.execute` span parents under the matching `shard.remote`.
   void setTelemetry(telemetry::Telemetry* telemetry);
 
  private:
@@ -155,9 +164,9 @@ class MWDriver {
   void ensureRank(Rank w);
   [[nodiscard]] double telNow() const;
 
-  /// Non-blocking path internals: per-task state mirrors executeBuffers'
-  /// local TaskState, but persists across calls so tasks overlap rounds.
-  struct AsyncTask {
+  /// One task, from submit() to completion; persists across calls so
+  /// tasks overlap rounds.
+  struct Task {
     std::vector<std::byte> wire;  ///< framed input, kept for requeue
     int retries = 0;
     Rank lastFailedOn = -1;
@@ -170,11 +179,10 @@ class MWDriver {
     std::uint64_t remoteSpan = 0;  ///< open shard.remote span while dispatched
     std::uint64_t trace = 0;       ///< trace id: caller-supplied, or task id
   };
-  void asyncGrowTo(int worldSize);
-  void asyncDispatch();
-  void asyncRequeue(Rank worker, std::uint64_t id, const std::string& why,
-                    const char* outcome);
-  void handleAsyncMessage(Message msg);
+  void growTo(int worldSize);
+  void dispatch();
+  void requeue(Rank worker, std::uint64_t id, const std::string& why, const char* outcome);
+  void handleMessage(Message msg);
   void observeIdleFraction();
   void maybeSpeculate();
   /// Ranks currently holding `id` (1 normally, 2 while a duplicate is out).
@@ -191,25 +199,29 @@ class MWDriver {
   int maxRetries_ = 3;
   double recvTimeoutSeconds_ = 300.0;
   bool shutDown_ = false;
-  std::vector<bool> dead_;  ///< indexed by rank; persists across batches
+  std::vector<bool> dead_;  ///< indexed by rank; the world only grows
 
-  std::unordered_map<std::uint64_t, AsyncTask> asyncTasks_;
-  std::deque<std::uint64_t> asyncPending_;
-  std::vector<bool> asyncBusy_;
-  std::vector<std::uint64_t> asyncInFlightId_;
+  std::unordered_map<std::uint64_t, Task> tasks_;
+  std::deque<std::uint64_t> pending_;
+  std::vector<bool> busy_;
+  std::vector<std::uint64_t> inFlightId_;
   /// Per-rank id of a speculated task that already completed elsewhere:
   /// the rank stays busy until its late (discarded) report frees it.
-  std::vector<std::uint64_t> asyncGhostId_;
-  int asyncInFlight_ = 0;
+  std::vector<std::uint64_t> ghostId_;
+  /// Per-rank seconds spent on attempts, failed ones included, since the
+  /// current executeBuffers batch began; accumulated only while a
+  /// telemetry spine is attached.
+  std::vector<double> busySeconds_;
+  int inFlight_ = 0;
   double speculativeFactor_ = 0.0;
   double executeEwma_ = 0.0;  ///< steady-clock EWMA of execute seconds
   std::uint64_t speculativeDuplicates_ = 0;
   std::uint64_t speculativeDiscards_ = 0;
   std::uint64_t staleResultsDiscarded_ = 0;
-  std::vector<AsyncCompletion> asyncReady_;
-  /// Every worker message handled on the async path, completions or not;
-  /// drain() uses it to tell "backend silent" from "recovery in progress".
-  std::uint64_t asyncMessagesHandled_ = 0;
+  std::vector<AsyncCompletion> ready_;
+  /// Every worker message handled, completions or not; drain() uses it to
+  /// tell "backend silent" from "recovery in progress".
+  std::uint64_t messagesHandled_ = 0;
 
   /// Pre-registered handles; all non-null exactly when telemetry_ is set.
   telemetry::Telemetry* telemetry_ = nullptr;

@@ -12,31 +12,24 @@
 
 namespace sfopt::mw {
 
-namespace {
-
-/// Copy the options with the backend plugged in, then dispatch to the
-/// matching algorithm entry point.
-core::OptimizationResult dispatch(const noise::StochasticObjective& objective,
-                                  std::span<const core::Point> initial,
-                                  AlgorithmOptions options, core::SamplingBackend* backend) {
+core::OptimizationResult runAlgorithm(const noise::StochasticObjective& objective,
+                                      std::span<const core::Point> initial,
+                                      const AlgorithmOptions& options) {
   return std::visit(
-      [&](auto opts) {
-        opts.common.sampling.backend = backend;
-        using T = std::decay_t<decltype(opts)>;
+      [&](const auto& o) {
+        using T = std::decay_t<decltype(o)>;
         if constexpr (std::is_same_v<T, core::DetOptions>) {
-          return core::runDeterministic(objective, initial, opts);
+          return core::runDeterministic(objective, initial, o);
         } else if constexpr (std::is_same_v<T, core::MaxNoiseOptions>) {
-          return core::runMaxNoise(objective, initial, opts);
+          return core::runMaxNoise(objective, initial, o);
         } else if constexpr (std::is_same_v<T, core::AndersonOptions>) {
-          return core::runAnderson(objective, initial, opts);
+          return core::runAnderson(objective, initial, o);
         } else {
-          return core::runPointToPoint(objective, initial, opts);
+          return core::runPointToPoint(objective, initial, o);
         }
       },
-      std::move(options));
+      options);
 }
-
-}  // namespace
 
 MWRunResult runSimplexOverTransport(const noise::StochasticObjective& objective,
                                     std::span<const core::Point> initial,
@@ -51,8 +44,10 @@ MWRunResult runSimplexOverTransport(const noise::StochasticObjective& objective,
     driver.setTelemetry(config.telemetry);
     driver.setRecvTimeout(config.recvTimeoutSeconds);
     MWSamplingBackend backend(driver);
+    AlgorithmOptions withBackend = options;
+    std::visit([&](auto& o) { o.common.sampling.backend = &backend; }, withBackend);
     const auto t0 = std::chrono::steady_clock::now();
-    out.optimization = dispatch(objective, initial, options, &backend);
+    out.optimization = runAlgorithm(objective, initial, withBackend);
     const auto t1 = std::chrono::steady_clock::now();
     out.masterWallSeconds = std::chrono::duration<double>(t1 - t0).count();
     driver.shutdown();

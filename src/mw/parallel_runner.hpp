@@ -18,6 +18,12 @@ namespace sfopt::mw {
 using AlgorithmOptions = std::variant<core::DetOptions, core::MaxNoiseOptions,
                                       core::AndersonOptions, core::PCOptions>;
 
+/// Run the simplex variant `options` holds, exactly as its own entry point
+/// (core::runDeterministic, runMaxNoise, runAnderson, runPointToPoint).
+[[nodiscard]] core::OptimizationResult runAlgorithm(const noise::StochasticObjective& objective,
+                                                    std::span<const core::Point> initial,
+                                                    const AlgorithmOptions& options);
+
 /// Shape of the master-worker deployment.
 struct MWRunConfig {
   /// Number of MW workers; 0 means the paper's d+3 (d+1 vertices plus two

@@ -5,7 +5,7 @@
 #include <utility>
 #include <variant>
 
-#include "core/algorithms.hpp"
+#include "mw/parallel_runner.hpp"
 #include "mw/sampling_service.hpp"
 #include "net/socket.hpp"
 #include "telemetry/metrics.hpp"
@@ -471,6 +471,17 @@ void OptimizationService::progress() {
       fleetFailure(e.what());
       return;
     }
+    // The driver's receive timeout, as one-shot serve applies it: tasks
+    // outstanding and none completed for that long means the fleet is
+    // wedged, even while heartbeats keep every worker nominally alive.
+    const double now = net::monotonicSeconds();
+    if (!done.empty() || stalledSince_ < 0.0) stalledSince_ = now;
+    if (now - stalledSince_ > opts_.recvTimeoutSeconds) {
+      fleetFailure("no task completed for " + std::to_string(opts_.recvTimeoutSeconds) +
+                   "s with " + std::to_string(driver_->outstanding()) +
+                   " task(s) outstanding");
+      return;
+    }
     for (auto& c : done) {
       const auto it = routes_.find(c.id);
       if (it == routes_.end()) continue;
@@ -494,6 +505,7 @@ void OptimizationService::progress() {
       }
     }
   } else {
+    stalledSince_ = -1.0;
     // Nothing on the wire to wait for: service the sockets directly so
     // client frames and worker joins still land without a hot spin.
     comm_.pump(opts_.pollSeconds);
@@ -509,6 +521,7 @@ void OptimizationService::fleetFailure(const std::string& what) {
   }
   routes_.clear();
   driver_.reset();
+  stalledSince_ = -1.0;
 }
 
 void OptimizationService::shutdownAll() {
@@ -580,20 +593,7 @@ void OptimizationService::jobMain(std::uint64_t id, JobSpec spec,
           }
         },
         options);
-    const core::OptimizationResult res = std::visit(
-        [&](const auto& o) -> core::OptimizationResult {
-          using T = std::decay_t<decltype(o)>;
-          if constexpr (std::is_same_v<T, core::DetOptions>) {
-            return core::runDeterministic(objective, spec.initial, o);
-          } else if constexpr (std::is_same_v<T, core::MaxNoiseOptions>) {
-            return core::runMaxNoise(objective, spec.initial, o);
-          } else if constexpr (std::is_same_v<T, core::AndersonOptions>) {
-            return core::runAnderson(objective, spec.initial, o);
-          } else {
-            return core::runPointToPoint(objective, spec.initial, o);
-          }
-        },
-        options);
+    const core::OptimizationResult res = mw::runAlgorithm(objective, spec.initial, options);
     f.state = JobState::Done;
     f.outcome = JobOutcome::fromResult(res);
   } catch (const JobAborted& e) {

@@ -42,6 +42,8 @@ struct ServiceOptions {
   /// Exit once this many jobs reached a terminal state (0 = serve until
   /// stopped).  CI smoke runs use it for a bounded daemon lifetime.
   std::int64_t maxJobs = 0;
+  /// Longest the daemon waits with shards outstanding and none completing
+  /// before it declares the fleet lost and fails the running jobs.
   double recvTimeoutSeconds = 300.0;
   /// Durability: when non-empty, every job-table transition is journaled
   /// under this directory and running jobs snapshot their optimizer state
@@ -145,6 +147,9 @@ class OptimizationService {
   bool durableShutdown_ = false;
   std::unique_ptr<mw::MWDriver> driver_;
   std::unordered_map<std::uint64_t, Route> routes_;  ///< driver task id -> job/ticket
+  /// Monotonic time of the last completion, or of the first wait since
+  /// nothing was outstanding; < 0 while nothing is.
+  double stalledSince_ = -1.0;
 
   std::mutex finishedMutex_;
   std::condition_variable finishedCv_;

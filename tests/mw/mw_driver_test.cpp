@@ -349,6 +349,45 @@ TEST(MWDriver, AsyncDrainTimesOutWhenNobodyAnswers) {
   EXPECT_THROW((void)driver.drain(), std::runtime_error);
 }
 
+TEST(MWDriver, BlockingBatchLeavesAsyncTasksToDrain) {
+  // A blocking batch waits for its own ids only: completions of tasks
+  // submitted before it stay queued for drain() instead of being
+  // discarded as stale by the batch's receive loop.
+  CommWorld comm(3);
+  Pool pool(comm, 2);
+  MWDriver driver(comm);
+  driver.setRecvTimeout(2.0);
+  std::map<std::uint64_t, std::int64_t> want;
+  for (std::int64_t i = 0; i < 3; ++i) {
+    MessageBuffer b;
+    b.pack(i + 20);
+    want[driver.submit(std::move(b))] = (i + 20) * (i + 20);
+  }
+  std::vector<MessageBuffer> inputs;
+  for (std::int64_t i = 0; i < 5; ++i) {
+    MessageBuffer b;
+    b.pack(i);
+    inputs.push_back(std::move(b));
+  }
+  auto results = driver.executeBuffers(std::move(inputs));
+  ASSERT_EQ(results.size(), 5u);
+  for (std::int64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(results[static_cast<std::size_t>(i)].unpackInt64(), i * i);
+  }
+  std::vector<MWDriver::AsyncCompletion> done;
+  EXPECT_NO_THROW(done = driver.drain());
+  // Stop the workers before asserting, so a failure cannot hang the pool.
+  driver.shutdown();
+  ASSERT_EQ(done.size(), 3u);
+  for (auto& c : done) {
+    ASSERT_TRUE(want.contains(c.id));
+    EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
+  }
+  EXPECT_EQ(driver.outstanding(), 0u);
+  EXPECT_EQ(driver.tasksCompleted(), 8u);
+  EXPECT_EQ(driver.staleResultsDiscarded(), 0u);
+}
+
 TEST(MWDriver, WorkersCountTheirTasks) {
   CommWorld comm(3);
   Pool pool(comm, 2);
@@ -458,8 +497,10 @@ TEST(MWDriver, LateResultReorderedAcrossReconnectIsDiscardedOnAsyncPath) {
   });
 
   auto done = driver.drain();
-  (void)driver.poll(0.3);  // give the post-fold duplicate a window to land
+  // Join first: with nothing outstanding poll() only takes what has already
+  // arrived, so the post-fold duplicate must be in the mailbox by then.
   script.join();
+  (void)driver.poll(0.3);
 
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].id, id);

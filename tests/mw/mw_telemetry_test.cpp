@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -141,6 +142,45 @@ TEST(MWTelemetry, RetriesAreCountedAndTaskLifecycleIsObserved) {
     }
   }
   EXPECT_EQ(batchSpans, 1);
+}
+
+TEST(MWTelemetry, BlockingBatchFoldsEachTaskOnceAndSamplesIdleFraction) {
+  // A blocking batch ends each task's span tree with exactly one root-level
+  // shard.folded marker under the task's trace id, and samples the fleet's
+  // idle fraction at every completion as the non-blocking path does.
+  constexpr std::int64_t kTasks = 6;
+  CaptureSink sink;
+  telemetry::Telemetry tel(sink);
+  CommWorld comm(3);
+  Pool pool(comm, 2, 1);
+  MWDriver driver(comm);
+  driver.setTelemetry(&tel);
+
+  std::vector<EchoTask> tasks;
+  for (std::int64_t i = 0; i < kTasks; ++i) tasks.emplace_back(i);
+  std::vector<MWTask*> ptrs;
+  for (auto& t : tasks) ptrs.push_back(&t);
+  driver.executeTasks(ptrs);
+  driver.shutdown();
+
+  std::set<std::uint64_t> roots;
+  std::set<std::uint64_t> folded;
+  for (const auto& e : sink.events) {
+    if (e.type != "span") continue;
+    if (e.name == "shard.lifecycle") {
+      EXPECT_EQ(e.str("outcome").value_or(""), "ok");
+      roots.insert(e.trace);
+    } else if (e.name == "shard.folded") {
+      EXPECT_EQ(e.parent, 0u);
+      EXPECT_TRUE(folded.insert(e.trace).second) << "trace " << e.trace << " folded twice";
+    }
+  }
+  EXPECT_EQ(roots.size(), static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(folded, roots);
+
+  auto& idle = tel.metrics().histogram("mw.worker_idle_fraction",
+                                       {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
+  EXPECT_EQ(idle.count(), kTasks);
 }
 
 TEST(MWTelemetry, CleanRunRecordsNoRequeues) {

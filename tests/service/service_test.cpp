@@ -275,6 +275,81 @@ TEST(Service, NonFiniteSigma0IsANonRetryableRejection) {
   EXPECT_EQ(client.waitResult(60.0).state, service::JobState::Done);
 }
 
+/// Holds every task until released: its heartbeats keep the rank
+/// alive while no completion ever reaches the daemon.
+class StuckServiceWorker final : public service::ServiceWorker {
+ public:
+  StuckServiceWorker(net::Transport& comm, mw::Rank rank, const std::atomic<bool>& release)
+      : ServiceWorker(comm, rank), release_(release) {}
+
+ protected:
+  void executeTask(mw::MessageBuffer& in, mw::MessageBuffer& out) override {
+    while (!release_.load()) std::this_thread::sleep_for(10ms);
+    ServiceWorker::executeTask(in, out);
+  }
+
+ private:
+  const std::atomic<bool>& release_;
+};
+
+/// A daemon whose only worker is stuck; teardown releases the worker
+/// before stopping and joining, whatever the test saw.
+struct StuckFleet {
+  net::TcpCommWorld comm{0};
+  std::atomic<bool> release{false};
+  std::atomic<bool> stop{false};
+  std::thread worker;
+  std::thread daemon;
+
+  explicit StuckFleet(double recvTimeoutSeconds) {
+    worker = std::thread([port = comm.port(), this] {
+      try {
+        net::TcpWorkerTransport transport("127.0.0.1", port);
+        StuckServiceWorker w(transport, transport.rank(), release);
+        w.run();
+      } catch (const net::ConnectionLost&) {
+      }
+    });
+    (void)comm.waitForWorkers(1, 10.0);
+    service::ServiceOptions opts;
+    opts.maxJobs = 1;
+    opts.pollSeconds = 0.02;
+    opts.recvTimeoutSeconds = recvTimeoutSeconds;
+    daemon = std::thread([this, opts] {
+      service::OptimizationService svc(comm, opts);
+      (void)svc.run(stop);
+    });
+  }
+
+  ~StuckFleet() {
+    release.store(true);
+    stop.store(true);
+    daemon.join();
+    worker.join();
+  }
+
+  StuckFleet(const StuckFleet&) = delete;
+  StuckFleet& operator=(const StuckFleet&) = delete;
+};
+
+TEST(Service, DaemonRecvTimeoutFailsAJobWhoseTasksNeverComplete) {
+  // The worker is alive (heartbeats flow) but never answers: after the
+  // receive timeout the daemon must fail the job through its fleet-loss
+  // path, as one-shot serve does, instead of leaving it running forever.
+  StuckFleet fleet(0.5);
+  service::ServiceClient client("127.0.0.1", fleet.comm.port());
+  const service::StatusReply ack = client.submit(makeSpec("sphere", 2, "pc", 1, 5));
+  ASSERT_EQ(ack.state, service::JobState::Queued);
+  const auto t0 = std::chrono::steady_clock::now();
+  const service::ResultReply result = client.waitResult(10.0);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(result.state, service::JobState::Failed);
+  EXPECT_NE(result.detail.find("no task completed for 0.5"), std::string::npos)
+      << result.detail;
+  EXPECT_LT(waited, 5.0);
+}
+
 TEST(Service, StatusForUnknownJobSaysSo) {
   Harness h(1);
   h.start();

@@ -441,20 +441,7 @@ int runOptimizeCommand(const Args& args, std::ostream& out) {
           << " messages\n";
       res = run.optimization;
     } else {
-      res = std::visit(
-          [&](const auto& o) {
-            using T = std::decay_t<decltype(o)>;
-            if constexpr (std::is_same_v<T, core::DetOptions>) {
-              return core::runDeterministic(objective, start, o);
-            } else if constexpr (std::is_same_v<T, core::MaxNoiseOptions>) {
-              return core::runMaxNoise(objective, start, o);
-            } else if constexpr (std::is_same_v<T, core::AndersonOptions>) {
-              return core::runAnderson(objective, start, o);
-            } else {
-              return core::runPointToPoint(objective, start, o);
-            }
-          },
-          options);
+      res = mw::runAlgorithm(objective, start, options);
     }
   }
   printResult(out, res);
@@ -717,14 +704,12 @@ int runWorkerCommand(const Args& args, std::ostream& out) {
       if (!cfgMsg) throw std::runtime_error("sfopt worker: no config greeting from master");
       mw::MessageBuffer& cfg = cfgMsg->payload;
       const std::string schema = cfg.unpackString();
-      if (schema == "service-v1") {
-        // Multi-tenant daemon: tasks are self-describing (job id +
-        // objective spec ride on every one), so there is nothing more to
-        // unpack — just serve until shutdown.
-        out << "service:  multi-tenant worker (objectives arrive per task)\n"
-            << std::flush;
-        service::ServiceWorker worker(*transport, rank,
-                                      static_cast<int>(args.getInt("job-cache", 4)));
+      // Both schemas serve the same way.  The worker's task counters are
+      // exposed to the heartbeat thread while it runs, so every beat ships
+      // a fleet snapshot; the provider is detached before the worker dies
+      // (the clear is a barrier against an in-flight heartbeat poll).
+      // Returns the stream so each schema can finish its shutdown line.
+      const auto serve = [&](mw::MWWorker& worker) -> std::ostream& {
         worker.setTelemetry(telemetrySession.get());
         transport->setStatsProvider([&worker] {
           return net::WorkerStats{worker.tasksExecuted(), worker.tasksFailed(),
@@ -737,44 +722,34 @@ int runWorkerCommand(const Args& args, std::ostream& out) {
           throw;
         }
         transport->setStatsProvider({});
-        out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
-            << worker.tasksFailed() << " failed (" << worker.cacheMisses()
-            << " objective build(s))\n";
-        telemetrySession.finish(out);
-        return 0;
-      }
-      if (schema != "noisy-v1") {
+        return out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
+                   << worker.tasksFailed() << " failed";
+      };
+      if (schema == "service-v1") {
+        // Multi-tenant daemon: tasks are self-describing (job id +
+        // objective spec ride on every one), so there is nothing more to
+        // unpack — just serve until shutdown.
+        out << "service:  multi-tenant worker (objectives arrive per task)\n"
+            << std::flush;
+        service::ServiceWorker worker(*transport, rank,
+                                      static_cast<int>(args.getInt("job-cache", 4)));
+        serve(worker) << " (" << worker.cacheMisses() << " objective build(s))\n";
+      } else if (schema == "noisy-v1") {
+        const std::string fn = cfg.unpackString();
+        const auto dim = static_cast<std::size_t>(cfg.unpackInt64());
+        noise::NoisyFunction::Options objOpts;
+        objOpts.sigma0 = cfg.unpackDouble();
+        objOpts.seed = cfg.unpackUint64();
+        const int clients = static_cast<int>(cfg.unpackInt64());
+        const noise::NoisyFunction objective(dim, lookupFunction(fn), objOpts);
+        out << "objective: " << fn << " dim " << dim << " sigma0 " << objOpts.sigma0 << ", "
+            << clients << " client(s) per vertex server\n"
+            << std::flush;
+        mw::SamplingWorker worker(*transport, rank, objective, clients);
+        serve(worker) << "\n";
+      } else {
         throw std::runtime_error("sfopt worker: unsupported config schema '" + schema + "'");
       }
-      const std::string fn = cfg.unpackString();
-      const auto dim = static_cast<std::size_t>(cfg.unpackInt64());
-      noise::NoisyFunction::Options objOpts;
-      objOpts.sigma0 = cfg.unpackDouble();
-      objOpts.seed = cfg.unpackUint64();
-      const int clients = static_cast<int>(cfg.unpackInt64());
-      const noise::NoisyFunction objective(dim, lookupFunction(fn), objOpts);
-      out << "objective: " << fn << " dim " << dim << " sigma0 " << objOpts.sigma0 << ", "
-          << clients << " client(s) per vertex server\n"
-          << std::flush;
-
-      mw::SamplingWorker worker(*transport, rank, objective, clients);
-      worker.setTelemetry(telemetrySession.get());
-      // Expose the worker's task counters to the heartbeat thread so every
-      // beat ships a fleet snapshot; detach before `worker` dies (the clear
-      // is a barrier against an in-flight heartbeat poll).
-      transport->setStatsProvider([&worker] {
-        return net::WorkerStats{worker.tasksExecuted(), worker.tasksFailed(),
-                                worker.executeEwmaSeconds()};
-      });
-      try {
-        worker.run();
-      } catch (...) {
-        transport->setStatsProvider({});
-        throw;
-      }
-      transport->setStatsProvider({});
-      out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
-          << worker.tasksFailed() << " failed\n";
       telemetrySession.finish(out);
       return 0;
     } catch (const net::ConnectionLost& e) {
