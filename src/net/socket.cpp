@@ -133,6 +133,15 @@ Socket tcpConnect(const std::string& host, std::uint16_t port, double timeoutSec
   throw std::runtime_error("connect to " + host + ":" + portStr + " failed: " + lastError);
 }
 
+std::pair<Socket, Socket> nonBlockingPipe() {
+  int fds[2];
+  if (::pipe(fds) < 0) fail("pipe");
+  std::pair<Socket, Socket> ends{Socket(fds[0]), Socket(fds[1])};
+  setNonBlocking(fds[0]);
+  setNonBlocking(fds[1]);
+  return ends;
+}
+
 double monotonicSeconds() noexcept {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
       .count();

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 namespace sfopt::net {
 
@@ -51,6 +52,10 @@ class Socket {
 /// on resolution, connection, or timeout failure.
 [[nodiscard]] Socket tcpConnect(const std::string& host, std::uint16_t port,
                                 double timeoutSeconds);
+
+/// A non-blocking POSIX pipe as {read end, write end}; Socket owns any
+/// descriptor.  Throws std::runtime_error on failure.
+[[nodiscard]] std::pair<Socket, Socket> nonBlockingPipe();
 
 /// Monotonic seconds for transport-internal timing (heartbeats, deadlines).
 [[nodiscard]] double monotonicSeconds() noexcept;

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
 
 #include "telemetry/telemetry.hpp"
 
@@ -72,9 +74,18 @@ TcpCommWorld::TcpCommWorld(std::uint16_t port, Options options)
     : options_(options),
       listener_(tcpListen(port)),
       port_(localPort(listener_)),
-      tel_(NetTelemetry::registerIn(options.telemetry)) {}
+      tel_(NetTelemetry::registerIn(options.telemetry)) {
+  std::tie(wakeRead_, wakeWrite_) = nonBlockingPipe();
+}
 
 TcpCommWorld::~TcpCommWorld() = default;
+
+void TcpCommWorld::wake() noexcept {
+  const char byte = 1;
+  // A full pipe is already readable, so EAGAIN loses no wake-up.
+  while (::write(wakeWrite_.fd(), &byte, 1) < 0 && errno == EINTR) {
+  }
+}
 
 void TcpCommWorld::setGreeting(int tag, mw::MessageBuffer payload) {
   greeting_ = {tag, payload.releaseWire()};
@@ -540,7 +551,8 @@ void TcpCommWorld::handleSnapshot(Rank rank, const TelemetrySnapshot& snap) {
 
 void TcpCommWorld::pollOnce(double timeoutSeconds) {
   std::vector<pollfd> fds;
-  // Order: listener, pending peers, live peers (kinds recovered by index).
+  // Order: listener, pending peers, live peers, live clients, then the
+  // wake pipe (kinds recovered by index).
   // The pending count is snapshotted here: serviceListener() below may
   // append freshly accepted peers, which were never polled and must not be
   // indexed against this pass's fds — they get polled next pass.
@@ -565,10 +577,17 @@ void TcpCommWorld::pollOnce(double timeoutSeconds) {
     fds.push_back({c.sock.fd(), events, 0});
     liveClients.push_back(static_cast<int>(i + 1));
   }
+  fds.push_back({wakeRead_.fd(), POLLIN, 0});
 
   const int ready =
       ::poll(fds.data(), fds.size(), toPollMillis(std::min(timeoutSeconds, kPollSliceSeconds)));
   if (ready > 0) {
+    if (fds.back().revents & POLLIN) {
+      // Drain every pending wake-up so the next pass blocks again.
+      char sink[64];
+      while (::read(wakeRead_.fd(), sink, sizeof sink) > 0) {
+      }
+    }
     std::size_t idx = 0;
     if (fds[idx].revents & POLLIN) serviceListener();
     ++idx;
@@ -670,6 +689,9 @@ TcpWorkerTransport::TcpWorkerTransport(const std::string& host, std::uint16_t po
       sock_(tcpConnect(host, port, options.connectTimeoutSeconds)),
       decoder_(options.maxFrameBytes),
       tel_(NetTelemetry::registerIn(options.telemetry)) {
+  // The master-silence clock starts at connect: a Welcome that takes more
+  // than one poll slice is not silence past masterTimeoutSeconds.
+  lastHeard_ = monotonicSeconds();
   {
     std::lock_guard lock(sendMutex_);
     writeFrameLocked(makeHelloFrame(), /*nothrow=*/false);

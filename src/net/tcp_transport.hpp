@@ -124,9 +124,11 @@ struct TcpWorkerOptions {
 /// kTagWorkerLost message so the MW driver requeues the worker's
 /// in-flight task, and the lost rank's `fleet.r<N>.*` gauges are retired.
 ///
-/// Threading: intended to be driven by one (master) thread; not
-/// thread-safe.  All I/O happens inside recv/recvFor/tryRecv/send and
-/// waitForWorkers — there is no background thread on the master side.
+/// Threading: intended to be driven by one (master) thread.  All I/O
+/// happens inside recv/recvFor/tryRecv/send/pump and waitForWorkers —
+/// there is no background thread on the master side.  The one exception
+/// is wake(), which any thread may call; the world must outlive every
+/// thread that may call it.
 class TcpCommWorld final : public Transport {
  public:
   using Options = TcpMasterOptions;
@@ -175,9 +177,14 @@ class TcpCommWorld final : public Transport {
 
   /// Drive one pass of the event loop without receiving: accepts joiners,
   /// reads client/worker frames into the inboxes, flushes pending writes,
-  /// runs heartbeat bookkeeping.  The daemon idle loop calls this so the
-  /// world keeps turning while no MW task is outstanding.
+  /// runs heartbeat bookkeeping.  The daemon loop blocks here, and only
+  /// here: any socket event or a wake() ends the wait early.
   void pump(double timeoutSeconds);
+
+  /// Thread-safe: make the current (or next) poll pass return at once by
+  /// writing the world's self-pipe.  The daemon's engine threads call it
+  /// when they hand the loop work that no socket carries.
+  void wake() noexcept;
 
   // -- Transport (at/from must be rank 0) ---------------------------------
   [[nodiscard]] int size() const noexcept override;
@@ -256,6 +263,8 @@ class TcpCommWorld final : public Transport {
   Options options_;
   Socket listener_;
   std::uint16_t port_ = 0;
+  Socket wakeRead_;   ///< self-pipe read end; in every poll set
+  Socket wakeWrite_;  ///< self-pipe write end; wake() writes one byte
   std::vector<std::unique_ptr<Peer>> peers_;        ///< index = rank - 1
   std::vector<PendingPeer> pending_;                ///< accepted, awaiting Hello
   std::vector<std::unique_ptr<ClientPeer>> clients_;  ///< index = client id - 1

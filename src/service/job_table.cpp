@@ -5,8 +5,30 @@
 
 namespace sfopt::service {
 
+namespace {
+
+bool isTerminal(JobState s) noexcept {
+  return s == JobState::Done || s == JobState::Cancelled || s == JobState::Failed;
+}
+
+}  // namespace
+
 JobTable::JobTable(int maxConcurrent, int maxQueued)
     : maxConcurrent_(std::max(maxConcurrent, 1)), maxQueued_(std::max(maxQueued, 0)) {}
+
+void JobTable::track(const JobRecord& rec, int delta) {
+  if (rec.state == JobState::Queued) {
+    if (delta > 0) {
+      queued_.insert(rec.id);
+    } else {
+      queued_.erase(rec.id);
+    }
+  } else if (rec.state == JobState::Running) {
+    running_ += delta;
+  } else if (isTerminal(rec.state)) {
+    terminal_ += delta;
+  }
+}
 
 Admission JobTable::admit(JobSpec spec, int client, double now) {
   Admission a;
@@ -25,7 +47,7 @@ Admission JobTable::admit(JobSpec spec, int client, double now) {
   rec.state = JobState::Queued;
   rec.client = client;
   rec.submittedAt = now;
-  jobs_.emplace(id, std::move(rec));
+  track(jobs_.emplace(id, std::move(rec)).first->second, 1);
   a.accepted = true;
   a.jobId = id;
   a.message = "accepted";
@@ -38,15 +60,19 @@ JobRecord* JobTable::find(std::uint64_t id) {
 }
 
 JobRecord* JobTable::nextQueued() {
-  for (auto& [id, rec] : jobs_) {
-    if (rec.state == JobState::Queued) return &rec;
-  }
-  return nullptr;
+  return queued_.empty() ? nullptr : &jobs_.at(*queued_.begin());
+}
+
+void JobTable::setState(JobRecord& rec, JobState state) {
+  track(rec, -1);
+  rec.state = state;
+  track(rec, 1);
 }
 
 void JobTable::restore(JobRecord rec) {
   const std::uint64_t id = rec.id;
-  jobs_.insert_or_assign(id, std::move(rec));
+  if (const JobRecord* old = find(id); old != nullptr) track(*old, -1);
+  track(jobs_.insert_or_assign(id, std::move(rec)).first->second, 1);
   if (id >= nextId_) nextId_ = id + 1;
 }
 
@@ -56,27 +82,20 @@ void JobTable::setNextId(std::uint64_t next) noexcept {
 
 std::vector<std::uint64_t> JobTable::evictFinishedOver(std::size_t cap) {
   std::vector<std::uint64_t> evictedIds;
-  std::size_t finished = 0;
-  for (const auto& [id, rec] : jobs_) {
-    finished += (rec.state == JobState::Done || rec.state == JobState::Cancelled ||
-                 rec.state == JobState::Failed)
-                    ? 1
-                    : 0;
-  }
   // std::map iterates in ascending id order, so the first terminal entries
   // seen are the oldest ones.
-  for (auto it = jobs_.begin(); it != jobs_.end() && finished > cap;) {
+  for (auto it = jobs_.begin();
+       it != jobs_.end() && terminal_ > static_cast<std::int64_t>(cap);) {
     JobRecord& rec = it->second;
-    if (rec.state != JobState::Done && rec.state != JobState::Cancelled &&
-        rec.state != JobState::Failed) {
+    if (!isTerminal(rec.state)) {
       ++it;
       continue;
     }
     if (rec.thread.joinable()) rec.thread.join();
+    track(rec, -1);
     evicted_.emplace(it->first, rec.state);
     evictedIds.push_back(it->first);
     it = jobs_.erase(it);
-    --finished;
   }
   return evictedIds;
 }
@@ -91,35 +110,16 @@ void JobTable::markEvicted(std::uint64_t id, JobState finalState) {
   if (id >= nextId_) nextId_ = id + 1;
 }
 
-int JobTable::runningCount() const noexcept {
-  int n = 0;
-  for (const auto& [id, rec] : jobs_) n += rec.state == JobState::Running ? 1 : 0;
-  return n;
-}
+int JobTable::runningCount() const noexcept { return running_; }
 
-int JobTable::queuedCount() const noexcept {
-  int n = 0;
-  for (const auto& [id, rec] : jobs_) n += rec.state == JobState::Queued ? 1 : 0;
-  return n;
-}
+int JobTable::queuedCount() const noexcept { return static_cast<int>(queued_.size()); }
 
 std::int64_t JobTable::completedCount() const noexcept {
   // Evicted jobs were terminal when they left the table; counting them
   // keeps the --max-jobs budget honest under --result-retention.
-  std::int64_t n = static_cast<std::int64_t>(evicted_.size());
-  for (const auto& [id, rec] : jobs_) {
-    n += (rec.state == JobState::Done || rec.state == JobState::Cancelled ||
-          rec.state == JobState::Failed)
-             ? 1
-             : 0;
-  }
-  return n;
+  return terminal_ + static_cast<std::int64_t>(evicted_.size());
 }
 
-bool JobTable::anyActive() const noexcept {
-  return std::any_of(jobs_.begin(), jobs_.end(), [](const auto& kv) {
-    return kv.second.state == JobState::Queued || kv.second.state == JobState::Running;
-  });
-}
+bool JobTable::anyActive() const noexcept { return running_ > 0 || !queued_.empty(); }
 
 }  // namespace sfopt::service

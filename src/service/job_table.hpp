@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +44,11 @@ struct Admission {
 /// `maxConcurrent` jobs run at once and at most `maxQueued` wait behind
 /// them; submissions beyond that are refused with a retryable status
 /// instead of being parked forever or crashing the daemon.
+///
+/// The table keeps per-state indexes (queued ids, running and terminal
+/// counts), so the daemon loop's per-pass queries cost O(1) or O(log n)
+/// however many jobs it has served.  Every state change of a record in the
+/// table goes through setState(), which keeps them in step.
 class JobTable {
  public:
   JobTable(int maxConcurrent, int maxQueued);
@@ -55,6 +61,9 @@ class JobTable {
 
   /// Lowest-id queued job, or nullptr.  The caller promotes it.
   [[nodiscard]] JobRecord* nextQueued();
+
+  /// Move a job of this table to `state`.
+  void setState(JobRecord& rec, JobState state);
 
   /// Recovery: re-insert a journal-replayed record verbatim, keeping its
   /// original id.  The caller is the durable-state recovery path only.
@@ -82,14 +91,21 @@ class JobTable {
   [[nodiscard]] std::int64_t completedCount() const noexcept;  ///< terminal states
   [[nodiscard]] bool anyActive() const noexcept;  ///< queued or running jobs exist
 
+  /// Every record, by id.  Change a record's state through setState().
   [[nodiscard]] std::map<std::uint64_t, JobRecord>& all() noexcept { return jobs_; }
 
   [[nodiscard]] int maxConcurrent() const noexcept { return maxConcurrent_; }
   [[nodiscard]] int maxQueued() const noexcept { return maxQueued_; }
 
  private:
+  /// Add (`delta` = 1) or remove (-1) `rec` from the per-state indexes.
+  void track(const JobRecord& rec, int delta);
+
   std::map<std::uint64_t, JobRecord> jobs_;
   std::map<std::uint64_t, JobState> evicted_;  ///< final state of retained-out jobs
+  std::set<std::uint64_t> queued_;             ///< ids of Queued records, lowest first
+  int running_ = 0;                            ///< Running records
+  std::int64_t terminal_ = 0;                  ///< Done/Cancelled/Failed records
   std::uint64_t nextId_ = 1;
   int maxConcurrent_;
   int maxQueued_;

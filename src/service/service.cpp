@@ -14,6 +14,16 @@
 
 namespace sfopt::service {
 
+namespace {
+
+/// Longest the daemon loop blocks in the transport poll.  Work arriving
+/// from sockets or engine threads ends the wait at once; the cap only
+/// bounds how often the loop checks the stop flag, the receive-timeout
+/// stall and straggler speculation.
+constexpr double kLoopWaitSeconds = 0.05;
+
+}  // namespace
+
 OptimizationService::OptimizationService(net::TcpCommWorld& comm, ServiceOptions options)
     : comm_(comm),
       opts_(options),
@@ -175,7 +185,7 @@ void OptimizationService::reapFinished() {
 void OptimizationService::finalizeJob(JobRecord& rec, JobState state,
                                       std::optional<JobOutcome> outcome,
                                       std::string error) {
-  rec.state = state;
+  table_.setState(rec, state);
   rec.outcome = std::move(outcome);
   rec.error = std::move(error);
   rec.finishedAt = telNow();
@@ -432,7 +442,7 @@ void OptimizationService::promoteQueued() {
   while (driver_ != nullptr && table_.runningCount() < table_.maxConcurrent()) {
     JobRecord* rec = table_.nextQueued();
     if (rec == nullptr) break;
-    rec->state = JobState::Running;
+    table_.setState(*rec, JobState::Running);
     rec->startedAt = telNow();
     if (durable_ != nullptr) durable_->recordStarted(rec->id);
     exchange_.openJob(rec->id, static_cast<int>(rec->spec.priority));
@@ -463,10 +473,13 @@ void OptimizationService::pumpShards() {
 }
 
 void OptimizationService::progress() {
+  // The loop's one blocking call: socket events and wake() end it early.
+  comm_.pump(kLoopWaitSeconds);
   if (driver_ != nullptr && driver_->outstanding() > 0) {
     std::vector<mw::MWDriver::AsyncCompletion> done;
     try {
-      done = driver_->poll(opts_.pollSeconds);
+      // Never block here: a blocking driver poll would sleep through wake().
+      done = driver_->poll(0.0);
     } catch (const std::exception& e) {
       fleetFailure(e.what());
       return;
@@ -506,9 +519,6 @@ void OptimizationService::progress() {
     }
   } else {
     stalledSince_ = -1.0;
-    // Nothing on the wire to wait for: service the sockets directly so
-    // client frames and worker joins still land without a hot spin.
-    comm_.pump(opts_.pollSeconds);
   }
 }
 
@@ -540,11 +550,7 @@ void OptimizationService::shutdownAll() {
   // Wait for every engine thread to unwind and report.
   while (true) {
     reapFinished();
-    bool anyRunning = false;
-    for (auto& [id, rec] : table_.all()) {
-      anyRunning = anyRunning || rec.state == JobState::Running;
-    }
-    if (!anyRunning) break;
+    if (table_.runningCount() == 0) break;
     std::unique_lock<std::mutex> lock(finishedMutex_);
     finishedCv_.wait_for(lock, std::chrono::milliseconds(50),
                          [this] { return !finished_.empty(); });
@@ -564,6 +570,7 @@ void OptimizationService::pushFinished(FinishedJob f) {
     finished_.push_back(std::move(f));
   }
   finishedCv_.notify_all();
+  comm_.wake();
 }
 
 void OptimizationService::jobMain(std::uint64_t id, JobSpec spec,

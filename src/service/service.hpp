@@ -37,8 +37,6 @@ struct ServiceOptions {
   /// above it, new submissions are refused retryably until the fleet
   /// catches up.
   std::size_t maxPendingShards = 1024;
-  /// Daemon loop granularity (driver poll / transport pump timeout).
-  double pollSeconds = 0.05;
   /// Exit once this many jobs reached a terminal state (0 = serve until
   /// stopped).  CI smoke runs use it for a bounded daemon lifetime.
   std::int64_t maxJobs = 0;
@@ -77,6 +75,11 @@ struct ServiceOptions {
 /// sample stream is counter-keyed and folded canonically, a job's result
 /// is bitwise identical to running it alone — whatever the interleaving,
 /// worker losses, or a neighbour's cancellation.
+///
+/// Event loop: the daemon thread blocks only in the transport's poll.
+/// Worker and client frames end the wait as socket events; an engine
+/// thread's submit and a job's finish end it through TcpCommWorld::wake(),
+/// so a sampling round costs the fleet's latency, not a poll interval.
 ///
 /// Failure envelope: a worker loss mid-job is the driver's ordinary
 /// requeue path (invisible to jobs); losing the whole fleet fails the
@@ -139,7 +142,7 @@ class OptimizationService {
   net::TcpCommWorld& comm_;
   ServiceOptions opts_;
   JobTable table_;
-  TicketExchange exchange_;
+  TicketExchange exchange_{[this] { comm_.wake(); }};
   std::unique_ptr<DurableState> durable_;
   /// Graceful-stop flag: while set, non-Done finalizations are not
   /// journaled and their snapshots are kept, so interrupted jobs recover

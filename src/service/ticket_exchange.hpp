@@ -4,11 +4,13 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sampling_backend.hpp"
@@ -48,8 +50,15 @@ class JobAborted : public std::runtime_error {
 /// cancellation path); closeJob() must only be called after the job's
 /// thread has exited — a blocked poll() holds the channel's condition
 /// variable.
+///
+/// No socket carries a submit to the daemon thread, so the exchange runs
+/// `onSubmit` (outside its lock, on the job thread) after every submit();
+/// the daemon passes a callable that wakes its transport poll.
 class TicketExchange {
  public:
+  explicit TicketExchange(std::function<void()> onSubmit = {})
+      : onSubmit_(std::move(onSubmit)) {}
+
   struct Completion {
     std::uint64_t ticket = 0;
     std::vector<stats::Welford> chunks;
@@ -113,6 +122,7 @@ class TicketExchange {
 
   [[nodiscard]] Channel& channelOrThrow(std::uint64_t jobId);
 
+  std::function<void()> onSubmit_;
   mutable std::mutex mutex_;
   std::map<std::uint64_t, std::unique_ptr<Channel>> jobs_;
   std::uint64_t nextSequence_ = 1;

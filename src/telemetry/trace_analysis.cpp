@@ -120,7 +120,8 @@ TraceReport analyzeTraceEvents(const std::vector<Event>& events, int topStraggle
         remotes.emplace(s.id, &s);
         ++t.dispatches;
         t.wireSeconds += s.duration;  // execute portion subtracted below
-        if (s.outcome == "requeued" || s.outcome == "lost") ++t.requeues;
+        // MWDriver::requeue ends a failed attempt "error" or "lost".
+        if (s.outcome == "error" || s.outcome == "lost") ++t.requeues;
       }
     }
     if (roots == 0) {

@@ -46,7 +46,7 @@ struct ShardTrace {
   double foldSeconds = 0.0;     ///< ok-remote end to fold/discard marker
   double totalSeconds = 0.0;    ///< shard.lifecycle root duration
   int dispatches = 0;           ///< shard.remote spans (attempts)
-  int requeues = 0;             ///< remote outcomes requeued / lost
+  int requeues = 0;             ///< failed remote attempts (outcome error / lost)
   bool folded = false;
   bool discarded = false;
   bool failed = false;     ///< root ended with outcome=failed

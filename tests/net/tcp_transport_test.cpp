@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,6 +98,57 @@ TEST(TcpTransport, RecvForTimesOutCleanly) {
   // The worker is still healthy afterwards.
   master.send(0, 1, 1, payload(7));
   EXPECT_EQ(worker->recv(1, 0, 1).payload.unpackInt64(), 7);
+}
+
+TEST(TcpTransport, WakeEndsPumpAtOnce) {
+  TcpCommWorld master(0);
+  const auto timedPump = [&master](double timeoutSeconds) {
+    const auto t0 = std::chrono::steady_clock::now();
+    master.pump(timeoutSeconds);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+  // Unwoken, a pass waits out its timeout (capped at the 0.2 s poll slice).
+  EXPECT_GE(timedPump(0.05), 0.04);
+
+  // A wake-up before the call ends the next pass at once, and the pass
+  // drains the pipe, so the one after it waits again.  Far more wake-ups
+  // than the pipe holds must neither block wake() nor outlive one pass.
+  for (int i = 0; i < 100'000; ++i) master.wake();
+  EXPECT_LT(timedPump(1.0), 0.1);
+  EXPECT_GE(timedPump(0.05), 0.04);
+
+  // A wake-up from another thread ends a pass that is already blocked.
+  std::thread waker([&master] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    master.wake();
+  });
+  const double woken = timedPump(1.0);
+  waker.join();
+  EXPECT_LT(woken, 0.15);
+  EXPECT_GE(timedPump(0.05), 0.04);
+}
+
+TEST(TcpTransport, SlowWelcomeWithinTheMasterTimeoutIsNotSilence) {
+  TcpCommWorld master(0);
+  TcpWorkerTransport::Options wopts;
+  wopts.masterTimeoutSeconds = 1.0;
+  std::unique_ptr<TcpWorkerTransport> worker;
+  std::string error;
+  std::thread dial([&] {
+    try {
+      worker = connectTo(master, wopts);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  // A busy master answers the Hello after several of the worker's poll
+  // slices, but well inside its master timeout.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  (void)master.waitForWorkers(1, 10.0);
+  dial.join();
+  EXPECT_EQ(error, "");
+  ASSERT_NE(worker, nullptr);
+  EXPECT_EQ(worker->rank(), 1);
 }
 
 TEST(TcpTransport, DisconnectSynthesizesWorkerLost) {

@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,8 @@
 #include "service/service_client.hpp"
 #include "service/service_worker.hpp"
 #include "service/ticket_exchange.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 // Chaos and property tests for the durable service (§9.9): journal replay
 // round-trips, torn-tail truncation at every cut point, the torn-write
@@ -280,7 +284,8 @@ class SlowServiceWorker final : public service::ServiceWorker {
 };
 
 /// One daemon + worker fleet on an ephemeral port (service_test.cpp's
-/// harness, grown durability/speculation knobs).
+/// harness, grown durability/speculation knobs).  The first `slowWorkers`
+/// workers sleep `slowWorkerDelay` before every task.
 struct Harness {
   net::TcpCommWorld comm{0};
   service::ServiceOptions opts;
@@ -290,12 +295,11 @@ struct Harness {
   std::int64_t completed = -1;
 
   explicit Harness(std::int64_t maxJobs, int workerCount = 2,
-                   std::chrono::milliseconds slowWorkerDelay = 0ms) {
+                   std::chrono::milliseconds slowWorkerDelay = 0ms, int slowWorkers = 1) {
     opts.maxJobs = maxJobs;
-    opts.pollSeconds = 0.02;
     opts.recvTimeoutSeconds = 20.0;
     for (int i = 0; i < workerCount; ++i) {
-      const bool slow = slowWorkerDelay > 0ms && i == 0;
+      const bool slow = slowWorkerDelay > 0ms && i < slowWorkers;
       const std::uint16_t port = comm.port();
       workers.emplace_back([port, slow, slowWorkerDelay] {
         try {
@@ -346,6 +350,32 @@ service::StatusReply pollUntilTerminal(service::ServiceClient& client, std::uint
   }
 }
 
+/// Per-task delay that stretches the fault tests' jobs back over their
+/// fault windows: at fleet speed the daemon finishes an 80-iteration job in
+/// tens of milliseconds, before a stop, kill or partition could land.
+constexpr std::chrono::milliseconds kFaultWindowTaskDelay = 5ms;
+
+/// The daemon's recovery line, "recover:  replayed N journal entries (Q
+/// queued, R running, F finished)", parsed out of its log.
+struct RecoveryLine {
+  bool found = false;
+  int queued = -1;
+  int running = -1;
+  int finished = -1;
+};
+
+RecoveryLine parseRecoveryLine(const std::string& log) {
+  RecoveryLine r;
+  const std::size_t at = log.find("recover:  replayed ");
+  if (at == std::string::npos) return r;
+  int entries = 0;
+  r.found = std::sscanf(log.c_str() + at,
+                        "recover:  replayed %d journal entries (%d queued, %d running, "
+                        "%d finished)",
+                        &entries, &r.queued, &r.running, &r.finished) == 4;
+  return r;
+}
+
 bool waitForFile(const fs::path& file, double timeoutSeconds = 30.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeoutSeconds);
@@ -372,7 +402,7 @@ TEST(Durability, RestartRecoversFinishedRunningAndQueuedJobsBitwise) {
   // Incarnation one: one job finishes, one is stopped mid-run right after
   // its first snapshot lands, one never leaves the queue.
   {
-    Harness h(100);
+    Harness h(100, 2, kFaultWindowTaskDelay, 2);
     h.opts.stateDir = state.path.string();
     h.opts.checkpointInterval = 3;
     h.opts.maxConcurrentJobs = 1;
@@ -392,10 +422,12 @@ TEST(Durability, RestartRecoversFinishedRunningAndQueuedJobsBitwise) {
   // Incarnation two: a fresh daemon + fleet over the same state dir must
   // resume the interrupted job from its snapshot, run the queued one, and
   // still serve the finished one's stored result — all bitwise.
+  std::ostringstream log;
   {
     Harness h(100);
     h.opts.stateDir = state.path.string();
     h.opts.checkpointInterval = 3;
+    h.opts.log = &log;
     h.start();
     service::ServiceClient client("127.0.0.1", h.comm.port());
 
@@ -418,6 +450,18 @@ TEST(Durability, RestartRecoversFinishedRunningAndQueuedJobsBitwise) {
     EXPECT_GT(freshId, queuedId);
     EXPECT_EQ(pollUntilTerminal(client, freshId).state, service::JobState::Done);
   }
+
+  // The faults really landed where the test says: the stop caught one job
+  // running and one queued, and the second daemon resumed from a snapshot.
+  const RecoveryLine recovered = parseRecoveryLine(log.str());
+  ASSERT_TRUE(recovered.found) << log.str();
+  EXPECT_EQ(recovered.queued, 1) << log.str();
+  EXPECT_EQ(recovered.running, 1) << log.str();
+  EXPECT_EQ(recovered.finished, 1) << log.str();
+  EXPECT_NE(log.str().find("job " + std::to_string(interruptedId) +
+                           ": running (resumed from checkpoint)"),
+            std::string::npos)
+      << log.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -526,7 +570,7 @@ void runKillRestartRound(bool waitForSnapshot) {
       while (!stopWorkers.load()) {
         try {
           net::TcpWorkerTransport transport("127.0.0.1", port);
-          service::ServiceWorker worker(transport, transport.rank());
+          SlowServiceWorker worker(transport, transport.rank(), kFaultWindowTaskDelay);
           worker.run();
         } catch (const std::exception&) {
         }
@@ -572,6 +616,21 @@ void runKillRestartRound(bool waitForSnapshot) {
   }
   second.terminate();
   joinWorkers();
+
+  // The kill landed mid-job: the restarted daemon found the job unfinished
+  // and resumed it from a snapshot exactly when the test waited for one.
+  std::ifstream in(logs.path / "daemon2.log");
+  const std::string log((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const RecoveryLine recovered = parseRecoveryLine(log);
+  ASSERT_TRUE(recovered.found) << log;
+  EXPECT_EQ(recovered.finished, 0) << log;
+  EXPECT_EQ(recovered.queued + recovered.running, 1) << log;
+  const bool resumed = log.find("job " + std::to_string(jobId) +
+                                ": running (resumed from checkpoint)") != std::string::npos;
+  EXPECT_EQ(resumed, waitForSnapshot) << log;
+  if (waitForSnapshot) {
+    EXPECT_EQ(recovered.running, 1) << log;
+  }
 }
 
 TEST(Durability, DaemonSigkilledRightAfterAdmissionRecoversBitwise) {
@@ -600,6 +659,7 @@ TEST(Durability, JobSurvivesChaosPartitionAndDuplicationBitwise) {
   copts.heartbeatIntervalSeconds = 0.05;
   copts.heartbeatTimeoutSeconds = 0.6;
   net::TcpCommWorld comm(0, copts);
+  telemetry::Telemetry tel;  // outlives the daemon thread, joined by cleanup
 
   net::ChaosSchedule schedule;
   schedule.seed = 2026;
@@ -636,7 +696,7 @@ TEST(Durability, JobSurvivesChaosPartitionAndDuplicationBitwise) {
           wopts.masterTimeoutSeconds = 1.0;
           wopts.handshakeTimeoutSeconds = 1.0;
           net::TcpWorkerTransport transport("127.0.0.1", proxy.port(), wopts);
-          service::ServiceWorker worker(transport, transport.rank());
+          SlowServiceWorker worker(transport, transport.rank(), kFaultWindowTaskDelay);
           worker.run();
           break;  // clean shutdown from the service
         } catch (const std::exception&) {
@@ -649,8 +709,8 @@ TEST(Durability, JobSurvivesChaosPartitionAndDuplicationBitwise) {
 
   service::ServiceOptions opts;
   opts.maxJobs = 1;
-  opts.pollSeconds = 0.02;
   opts.recvTimeoutSeconds = 30.0;
+  opts.telemetry = &tel;
   daemon = std::thread([&] {
     service::OptimizationService svc(comm, opts);
     (void)svc.run(stop);
@@ -667,6 +727,9 @@ TEST(Durability, JobSurvivesChaosPartitionAndDuplicationBitwise) {
   // requeue that eviction triggers, so a heal racing the eviction deadline
   // could strand them in-flight forever.
   std::this_thread::sleep_for(150ms);
+  service::ServiceClient probe("127.0.0.1", comm.port());
+  ASSERT_EQ(probe.status(ack.jobId).state, service::JobState::Running)
+      << "the job finished before the partition";
   net::ChaosEvent cut;
   cut.kind = net::ChaosEvent::Kind::Partition;
   cut.connIndex = 0;
@@ -679,6 +742,10 @@ TEST(Durability, JobSurvivesChaosPartitionAndDuplicationBitwise) {
   ASSERT_TRUE(result.outcome.has_value());
   expectBitwiseEqual(*result.outcome, solo);
   EXPECT_GT(proxy.counters().framesDuplicated, 0u);
+  // The partition evicted a rank while the job still ran (maxJobs = 1: the
+  // daemon exits once the job is done, so join it before reading).
+  daemon.join();
+  EXPECT_GE(tel.metrics().counter("mw.workers_lost").value(), 1);
 }
 
 // ---------------------------------------------------------------------------

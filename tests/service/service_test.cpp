@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <ctime>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -96,7 +97,6 @@ struct Harness {
 
   explicit Harness(std::int64_t maxJobs, int workerCount = 2, int dieAfterTasks = -1) {
     opts.maxJobs = maxJobs;
-    opts.pollSeconds = 0.02;
     opts.recvTimeoutSeconds = 20.0;
     for (int i = 0; i < workerCount; ++i) {
       const bool dies = dieAfterTasks >= 0 && i == 0;
@@ -313,7 +313,6 @@ struct StuckFleet {
     (void)comm.waitForWorkers(1, 10.0);
     service::ServiceOptions opts;
     opts.maxJobs = 1;
-    opts.pollSeconds = 0.02;
     opts.recvTimeoutSeconds = recvTimeoutSeconds;
     daemon = std::thread([this, opts] {
       service::OptimizationService svc(comm, opts);
@@ -350,6 +349,41 @@ TEST(Service, DaemonRecvTimeoutFailsAJobWhoseTasksNeverComplete) {
   EXPECT_LT(waited, 5.0);
 }
 
+TEST(Service, JobRoundsAreNotPacedByThePollInterval) {
+  // Engine threads wake the daemon loop when they submit, so a job's
+  // sampling rounds run at the fleet's pace.  A loop that made every round
+  // wait out a 20 ms timeout would need over 0.8 s for this job.
+  const service::JobSpec spec = makeSpec("rosenbrock", 4, "pc", 2026, 25);
+  const core::OptimizationResult solo = soloRun(spec);
+
+  Harness h(1);
+  h.start();
+  service::ServiceClient client("127.0.0.1", h.comm.port());
+  const auto t0 = std::chrono::steady_clock::now();
+  const service::StatusReply ack = client.submit(spec);
+  ASSERT_EQ(ack.state, service::JobState::Queued);
+  const service::ResultReply result = client.waitResult(60.0);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ASSERT_EQ(result.state, service::JobState::Done) << result.detail;
+  ASSERT_TRUE(result.outcome.has_value());
+  expectBitwiseEqual(*result.outcome, solo);
+  EXPECT_LT(seconds, 0.25);
+}
+
+TEST(Service, IdleDaemonDoesNotSpin) {
+  // Between events the daemon thread sleeps in the transport poll; a wake
+  // pipe left undrained would turn that sleep into a busy loop.
+  Harness h(1, 1);
+  h.start();
+  service::ServiceClient client("127.0.0.1", h.comm.port());
+  ASSERT_EQ(client.status(0).state, service::JobState::Unknown);  // the loop is up
+  const std::clock_t cpu0 = std::clock();
+  std::this_thread::sleep_for(1s);
+  const double cpuSeconds = static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  EXPECT_LT(cpuSeconds, 0.25);
+}
+
 TEST(Service, StatusForUnknownJobSaysSo) {
   Harness h(1);
   h.start();
@@ -360,6 +394,89 @@ TEST(Service, StatusForUnknownJobSaysSo) {
   const service::StatusReply ack = client.submit(makeSpec("sphere", 2, "det", 1, 5));
   ASSERT_EQ(ack.state, service::JobState::Queued);
   EXPECT_EQ(client.waitResult(60.0).state, service::JobState::Done);
+}
+
+/// The table's indexed counts and nextQueued() must equal a scan of all();
+/// `evicted` is how many distinct ids the table has evicted.
+void expectIndexesMatchScan(service::JobTable& table, std::size_t evicted) {
+  int queued = 0;
+  int running = 0;
+  std::int64_t terminal = 0;
+  const service::JobRecord* lowestQueued = nullptr;
+  for (const auto& [id, rec] : table.all()) {
+    if (rec.state == service::JobState::Queued) {
+      ++queued;
+      if (lowestQueued == nullptr) lowestQueued = &rec;
+    } else if (rec.state == service::JobState::Running) {
+      ++running;
+    } else {
+      ++terminal;
+    }
+  }
+  EXPECT_EQ(table.queuedCount(), queued);
+  EXPECT_EQ(table.runningCount(), running);
+  EXPECT_EQ(table.completedCount(), terminal + static_cast<std::int64_t>(evicted));
+  EXPECT_EQ(table.anyActive(), queued + running > 0);
+  EXPECT_EQ(table.nextQueued(), lowestQueued);
+}
+
+TEST(JobTable, IndexesTrackEveryTransition) {
+  using service::JobState;
+  service::JobTable table(2, 8);
+  std::size_t evicted = 0;
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) {
+    const service::Admission a = table.admit(makeSpec("sphere", 2, "det", 1, 5), 1, 0.0);
+    ASSERT_TRUE(a.accepted);
+    ids.push_back(a.jobId);
+    expectIndexesMatchScan(table, evicted);
+  }
+  // Promote the two lowest ids, as the daemon does.
+  for (int i = 0; i < 2; ++i) {
+    table.setState(*table.nextQueued(), JobState::Running);
+    expectIndexesMatchScan(table, evicted);
+  }
+  // Every terminal state, reached from running and from queued.
+  table.setState(*table.find(ids[0]), JobState::Done);
+  expectIndexesMatchScan(table, evicted);
+  table.setState(*table.find(ids[1]), JobState::Failed);
+  expectIndexesMatchScan(table, evicted);
+  table.setState(*table.find(ids[3]), JobState::Cancelled);
+  expectIndexesMatchScan(table, evicted);
+
+  // Recovery: restore over an existing (queued) id, and under a new one.
+  service::JobRecord replaced;
+  replaced.id = ids[2];
+  replaced.state = JobState::Done;
+  table.restore(std::move(replaced));
+  expectIndexesMatchScan(table, evicted);
+  service::JobRecord restored;
+  restored.id = 100;
+  table.restore(std::move(restored));
+  expectIndexesMatchScan(table, evicted);
+
+  // Retention keeps the youngest terminal record.
+  const std::vector<std::uint64_t> gone = table.evictFinishedOver(1);
+  EXPECT_EQ(gone, (std::vector<std::uint64_t>{ids[0], ids[1], ids[2]}));
+  evicted += gone.size();
+  expectIndexesMatchScan(table, evicted);
+
+  // Journal replay of an eviction: the id never reaches the table.
+  table.markEvicted(200, JobState::Done);
+  ++evicted;
+  expectIndexesMatchScan(table, evicted);
+
+  // Drain the queue in id order.
+  std::vector<std::uint64_t> order;
+  while (service::JobRecord* rec = table.nextQueued()) {
+    order.push_back(rec->id);
+    table.setState(*rec, JobState::Running);
+    expectIndexesMatchScan(table, evicted);
+    table.setState(*rec, JobState::Done);
+    expectIndexesMatchScan(table, evicted);
+  }
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{ids[4], ids[5], 100}));
+  EXPECT_FALSE(table.anyActive());
 }
 
 TEST(TicketExchange, RoundRobinInterleavesJobsFairly) {

@@ -134,12 +134,18 @@ TEST(TraceAnalysis, RequeuedDispatchCountsAndStaysComplete) {
   lost.numFields = {{"rank", 2.0}};
   events.push_back(lost);
   events.push_back(span("shard.queue", 16, 10, 1, 0.5, 0.2));
+  // Another failed attempt, which the worker reported as a task error.
+  Event error = span("shard.remote", 17, 10, /*trace=*/1, 0.7, 0.2);
+  error.strFields = {{"outcome", "error"}};
+  error.numFields = {{"rank", 3.0}};
+  events.push_back(error);
+  events.push_back(span("shard.queue", 18, 10, 1, 0.9, 0.1));
 
   const TraceReport report = analyzeTraceEvents(events);
   for (const auto& p : report.problems) ADD_FAILURE() << p;
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.dispatched, 2u);
-  EXPECT_EQ(report.requeues, 1u);
+  EXPECT_EQ(report.dispatched, 3u);
+  EXPECT_EQ(report.requeues, 2u);
   EXPECT_EQ(report.folded, 1u);
 }
 
