@@ -4,9 +4,9 @@
 //
 // Part 1 compares mw.worker_idle_fraction and wall time for sharded
 // (--shard-min-samples 64) vs unsharded batches at 1, 2 and 4 workers.
-// Both arms run through the async scheduler (the unsharded arm uses an
-// unreachable shard threshold), so the arms differ in sharding alone and
-// the figures stay comparable with the committed BENCH_pipeline.json.
+// Both arms run through the scheduler every backend refine takes, so the
+// arms differ in sharding alone and the figures stay comparable with the
+// committed BENCH_pipeline.json.
 //
 // Part 2 runs PC with speculation on/off and reports the speculation hit
 // rate alongside engine.pc.rounds_per_comparison — the overlap does not
@@ -100,7 +100,7 @@ ShardRow runShardArm(int workers, bool sharded) {
 
   core::SamplingContext::Options o;
   o.backend = &backend;
-  o.shardMinSamples = sharded ? 64 : std::numeric_limits<std::int64_t>::max() / 2;
+  o.shardMinSamples = sharded ? 64 : 0;
   o.maxSamplesPerVertex = std::numeric_limits<std::int64_t>::max() / 2;
   o.telemetry = &spine;
   core::SamplingContext ctx(objective, o);

@@ -11,7 +11,7 @@
 
 namespace sfopt::core {
 
-EvalScheduler::EvalScheduler(AsyncSamplingBackend& backend, Options options)
+EvalScheduler::EvalScheduler(SamplingBackend& backend, Options options)
     : backend_(backend), options_(options) {
   if (options_.shardMinSamples < 0) {
     throw std::invalid_argument("EvalScheduler: shardMinSamples must be >= 0");
@@ -78,7 +78,7 @@ int EvalScheduler::submitSharded(const SamplingBackend::BatchRequest& request,
   return static_cast<int>(shards);
 }
 
-void EvalScheduler::routeCompletion(const AsyncSamplingBackend::Completion& completion) {
+void EvalScheduler::routeCompletion(const SamplingBackend::Completion& completion) {
   // Terminal trace markers for the shard span tree: every ticket the
   // backend completed ends life here as folded into its batch entry or
   // discarded (evicted / stale generation).  Zero-duration spans keyed by

@@ -19,12 +19,14 @@ class Histogram;
 
 namespace sfopt::core {
 
-/// Turns refinement batches into shardable sub-batch tickets over an
-/// AsyncSamplingBackend and merges the completed shards back in canonical
+/// Turns refinement batches into shardable sub-batch tickets over a
+/// SamplingBackend and merges the completed shards back in canonical
 /// order, so the evaluation fabric can be kept busy without perturbing a
-/// single bit of the optimization trajectory.
+/// single bit of the optimization trajectory.  SamplingContext routes every
+/// backend refine through one; with both options off each batch is a
+/// single ticket.
 ///
-/// Two independent mechanisms, both optional:
+/// Two independent options:
 ///
 ///  * **Sharding** (shardMinSamples > 0): a batch larger than the
 ///    threshold is split into up to `parallelism()` chunk-aligned shards
@@ -64,7 +66,9 @@ class EvalScheduler {
     /// 0 = same resolved value as maxOutstandingShards.
     int maxStagedEntries = 0;
     /// Give up when the backend stays silent this long with results
-    /// outstanding (backstop; the MW driver detects dead workers first).
+    /// outstanding.  SamplingContext sets infinity: its backends judge
+    /// silence themselves (the MW driver's receive timeout, the daemon's
+    /// stall rule).
     double timeoutSeconds = 300.0;
     /// Observability spine (non-owning).  Registers eval.shards_per_batch,
     /// eval.speculation_hits / _misses and the eval.speculation_hit_rate
@@ -72,7 +76,7 @@ class EvalScheduler {
     telemetry::Telemetry* telemetry = nullptr;
   };
 
-  EvalScheduler(AsyncSamplingBackend& backend, Options options);
+  EvalScheduler(SamplingBackend& backend, Options options);
 
   /// Evaluate `requests` (blocking) and return one merged accumulator per
   /// request, in request order.  Zero-count requests yield an empty
@@ -136,7 +140,7 @@ class EvalScheduler {
   /// Block until every entry in `needed` is complete (or time out).
   void collect(const std::vector<BatchKey>& needed);
 
-  void routeCompletion(const AsyncSamplingBackend::Completion& completion);
+  void routeCompletion(const SamplingBackend::Completion& completion);
 
   /// Drop staged entries that can no longer match (same vertex, start
   /// index already consumed past) and enforce the staging cap.
@@ -147,7 +151,7 @@ class EvalScheduler {
   [[nodiscard]] int resolvedOutstandingCap() const;
   [[nodiscard]] int resolvedStagingCap() const;
 
-  AsyncSamplingBackend& backend_;
+  SamplingBackend& backend_;
   Options options_;
 
   std::map<BatchKey, Entry> entries_;

@@ -78,17 +78,21 @@ void sampleChunks(const noise::StochasticObjective& objective, std::span<const d
   return merged;
 }
 
-class AsyncSamplingBackend;
-
-/// Where the raw objective samples are computed.
+/// Where the raw objective samples are computed: a ticketed, non-blocking
+/// evaluation fabric.  submit() hands a batch over and returns at once;
+/// poll() delivers whatever completed since the last call.  Results arrive
+/// as canonical chunk moments (see kEvalChunkSamples), never pre-merged,
+/// so the caller owns the merge order.  Submitted batches may complete in
+/// any order.
 ///
-/// The default (no backend) computes samples inline on the calling thread.
-/// The master-worker runtime (src/mw) provides a backend that ships each
-/// batch to a worker process and returns the worker's partial Welford
-/// state.  Because every sample is keyed by (vertexId, sampleIndex) through
-/// the counter-based RNG, the merged estimate is bitwise identical no
-/// matter which backend computed it or in which order — the property the
-/// integration tests pin down.
+/// SamplingContext drives a backend through an EvalScheduler; with no
+/// backend it computes samples inline on the calling thread.  The
+/// master-worker runtime (src/mw) ships each batch to a worker process,
+/// and the multi-tenant service (src/service) routes it through the
+/// daemon's shared fleet.  Because every sample is keyed by (vertexId,
+/// sampleIndex) through the counter-based RNG, the merged estimate is
+/// bitwise identical no matter which backend computed it or in which
+/// order — the property the integration tests pin down.
 class SamplingBackend {
  public:
   struct BatchRequest {
@@ -98,47 +102,21 @@ class SamplingBackend {
     std::int64_t count = 0;         ///< number of samples to draw
   };
 
-  virtual ~SamplingBackend() = default;
-
-  /// Compute one batch and return its accumulated partial statistics.
-  [[nodiscard]] virtual stats::Welford sampleBatch(const BatchRequest& request) = 0;
-
-  /// Compute several batches, potentially concurrently; results are
-  /// returned in request order.  The default implementation loops.
-  [[nodiscard]] virtual std::vector<stats::Welford> sampleBatches(
-      std::span<const BatchRequest> requests) {
-    std::vector<stats::Welford> out;
-    out.reserve(requests.size());
-    for (const BatchRequest& r : requests) out.push_back(sampleBatch(r));
-    return out;
-  }
-
-  /// Non-blocking pipeline interface, when this backend has one.  nullptr
-  /// (the default) means the backend is synchronous-only and the
-  /// EvalScheduler cannot shard or speculate over it.
-  [[nodiscard]] virtual AsyncSamplingBackend* async() { return nullptr; }
-};
-
-/// Ticketed, non-blocking counterpart of SamplingBackend: submit() hands a
-/// batch to the evaluation fabric and returns immediately; poll() delivers
-/// whatever completed since the last call.  Results arrive as canonical
-/// chunk moments (see kEvalChunkSamples), never pre-merged, so the caller
-/// owns the merge order.  Submitted batches may complete in any order.
-class AsyncSamplingBackend {
- public:
   struct Completion {
     std::uint64_t ticket = 0;
     std::vector<stats::Welford> chunks;  ///< canonical chunk moments, in index order
   };
 
-  virtual ~AsyncSamplingBackend() = default;
+  virtual ~SamplingBackend() = default;
 
   /// Enqueue one batch; returns a ticket its completion will carry.
-  [[nodiscard]] virtual std::uint64_t submit(const SamplingBackend::BatchRequest& request) = 0;
+  [[nodiscard]] virtual std::uint64_t submit(const BatchRequest& request) = 0;
 
   /// Wait up to `timeoutSeconds` for at least one completion (0 = just
-  /// drain what is already available).  Returns every completion ready at
-  /// that point; empty on timeout or when nothing is outstanding.
+  /// drain what is already available; infinity = until one arrives).
+  /// Returns every completion ready at that point; empty on timeout or
+  /// when nothing is outstanding.  A backend with its own silence rule
+  /// throws when that rule fires, whatever the timeout.
   [[nodiscard]] virtual std::vector<Completion> poll(double timeoutSeconds) = 0;
 
   /// How many batches the fabric can usefully run at once (live workers

@@ -1,6 +1,7 @@
 #include "core/sampling_context.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -29,18 +30,17 @@ SamplingContext::SamplingContext(const noise::StochasticObjective& objective, Op
   if (options_.shardMinSamples < 0) {
     throw std::invalid_argument("SamplingContext: shardMinSamples must be >= 0");
   }
-  // The pipeline engages only when the backend can run asynchronously and
-  // the caller asked for sharding or speculation; the plain blocking path
-  // stays byte-for-byte what it always was otherwise.
-  if (options_.backend != nullptr &&
-      (options_.shardMinSamples > 0 || options_.speculate)) {
-    if (AsyncSamplingBackend* async = options_.backend->async()) {
-      EvalScheduler::Options sched;
-      sched.shardMinSamples = options_.shardMinSamples;
-      sched.speculate = options_.speculate;
-      sched.telemetry = options_.telemetry;
-      scheduler_ = std::make_unique<EvalScheduler>(*async, sched);
-    }
+  // Every backend refine goes through the scheduler; with sharding and
+  // speculation off it submits one ticket per batch and waits for them.
+  // Silence is the backend's to judge (the MW driver's receive timeout,
+  // the daemon's stall rule), so the scheduler waits without a bound.
+  if (options_.backend != nullptr) {
+    EvalScheduler::Options sched;
+    sched.shardMinSamples = options_.shardMinSamples;
+    sched.speculate = options_.speculate;
+    sched.timeoutSeconds = std::numeric_limits<double>::infinity();
+    sched.telemetry = options_.telemetry;
+    scheduler_ = std::make_unique<EvalScheduler>(*options_.backend, sched);
   }
 }
 
@@ -60,12 +60,10 @@ std::int64_t SamplingContext::refine(Vertex& v, std::int64_t extra) {
   const std::int64_t room = options_.maxSamplesPerVertex - v.sampleCount();
   const std::int64_t take = std::min(extra, std::max<std::int64_t>(room, 0));
   if (take == 0) return 0;
-  const SamplingBackend::BatchRequest req{v.point(), v.id(),
-                                          static_cast<std::uint64_t>(v.sampleCount()), take};
   if (scheduler_ != nullptr) {
+    const SamplingBackend::BatchRequest req{v.point(), v.id(),
+                                            static_cast<std::uint64_t>(v.sampleCount()), take};
     v.absorb(scheduler_->evaluate({&req, 1}).front());
-  } else if (options_.backend != nullptr) {
-    v.absorb(options_.backend->sampleBatch(req));
   } else {
     sampleInline(objective_, v, take);
   }
@@ -102,72 +100,62 @@ void SamplingContext::coSample(std::span<const RefineRequest> requests) {
   coSample(requests, std::span<const RefineRequest>{});
 }
 
+std::vector<SamplingBackend::BatchRequest> SamplingContext::predictHints(
+    std::span<const CoalescedRequest> coal, std::span<const RefineRequest> nextRoundHint) const {
+  std::vector<SamplingBackend::BatchRequest> hintBatch;
+  if (!options_.speculate || nextRoundHint.empty()) return hintBatch;
+  // Predict each hinted vertex's future start index: its current count
+  // plus whatever this round is about to take at it.
+  std::unordered_map<const Vertex*, std::int64_t> currentTake;
+  for (const CoalescedRequest& c : coal) currentTake.emplace(c.vertex, c.take);
+  std::unordered_map<const Vertex*, std::int64_t> hintSum;
+  std::vector<Vertex*> hintOrder;
+  for (const RefineRequest& h : nextRoundHint) {
+    if (h.vertex == nullptr || h.samples <= 0) continue;
+    const auto [it, fresh] = hintSum.emplace(h.vertex, h.samples);
+    if (fresh) {
+      hintOrder.push_back(h.vertex);
+    } else {
+      it->second += h.samples;
+    }
+  }
+  hintBatch.reserve(hintOrder.size());
+  for (Vertex* v : hintOrder) {
+    const auto t = currentTake.find(v);
+    const std::int64_t future = v->sampleCount() + (t != currentTake.end() ? t->second : 0);
+    const std::int64_t room = options_.maxSamplesPerVertex - future;
+    const std::int64_t take = std::min(hintSum.at(v), std::max<std::int64_t>(room, 0));
+    if (take == 0) continue;
+    hintBatch.push_back({v->point(), v->id(), static_cast<std::uint64_t>(future), take});
+  }
+  return hintBatch;
+}
+
 void SamplingContext::coSample(std::span<const RefineRequest> requests,
                                std::span<const RefineRequest> nextRoundHint) {
   const std::vector<CoalescedRequest> coal = coalesce(requests);
-  std::int64_t maxTaken = 0;
-
-  if (options_.backend != nullptr) {
+  if (scheduler_ != nullptr) {
     // Dispatch the whole batch so the backend can run it concurrently
     // (this models the d+3 workers sampling their vertices at once).
-    // Capped vertices (take == 0) never leave the master: a zero-count
-    // batch would waste a wire round trip to compute nothing.
+    // Capped vertices (take == 0) never leave the master: the scheduler
+    // answers a zero-count batch with an empty accumulator.
     std::vector<SamplingBackend::BatchRequest> batch;
-    std::vector<std::size_t> batchSlot;  // index into coal per batch entry
     batch.reserve(coal.size());
-    batchSlot.reserve(coal.size());
-    for (std::size_t i = 0; i < coal.size(); ++i) {
-      if (coal[i].take == 0) continue;
-      const Vertex& v = *coal[i].vertex;
-      batch.push_back({v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()),
-                       coal[i].take});
-      batchSlot.push_back(i);
-    }
-    std::vector<stats::Welford> results;
-    if (scheduler_ != nullptr) {
-      // Predict each hinted vertex's future start index: its current count
-      // plus whatever this round is about to take at it.
-      std::unordered_map<const Vertex*, std::int64_t> currentTake;
-      for (const CoalescedRequest& c : coal) currentTake.emplace(c.vertex, c.take);
-      std::vector<SamplingBackend::BatchRequest> hintBatch;
-      std::unordered_map<const Vertex*, std::int64_t> hintSum;
-      std::vector<Vertex*> hintOrder;
-      for (const RefineRequest& h : nextRoundHint) {
-        if (h.vertex == nullptr || h.samples <= 0) continue;
-        const auto [it, fresh] = hintSum.emplace(h.vertex, h.samples);
-        if (fresh) {
-          hintOrder.push_back(h.vertex);
-        } else {
-          it->second += h.samples;
-        }
-      }
-      hintBatch.reserve(hintOrder.size());
-      for (Vertex* v : hintOrder) {
-        const auto t = currentTake.find(v);
-        const std::int64_t future =
-            v->sampleCount() + (t != currentTake.end() ? t->second : 0);
-        const std::int64_t room = options_.maxSamplesPerVertex - future;
-        const std::int64_t take =
-            std::min(hintSum.at(v), std::max<std::int64_t>(room, 0));
-        if (take == 0) continue;
-        hintBatch.push_back({v->point(), v->id(), static_cast<std::uint64_t>(future), take});
-      }
-      results = scheduler_->evaluate(batch, hintBatch);
-    } else {
-      results = options_.backend->sampleBatches(batch);
-    }
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const std::size_t i = batchSlot[b];
-      coal[i].vertex->absorb(results[b]);
-      totalSamples_ += coal[i].take;
-      maxTaken = std::max(maxTaken, coal[i].take);
-    }
-  } else {
     for (const CoalescedRequest& c : coal) {
-      sampleInline(objective_, *c.vertex, c.take);
-      totalSamples_ += c.take;
-      maxTaken = std::max(maxTaken, c.take);
+      const Vertex& v = *c.vertex;
+      batch.push_back(
+          {v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()), c.take});
     }
+    const std::vector<stats::Welford> results =
+        scheduler_->evaluate(batch, predictHints(coal, nextRoundHint));
+    for (std::size_t i = 0; i < coal.size(); ++i) coal[i].vertex->absorb(results[i]);
+  } else {
+    for (const CoalescedRequest& c : coal) sampleInline(objective_, *c.vertex, c.take);
+  }
+  std::int64_t maxTaken = 0;
+  for (const CoalescedRequest& c : coal) {
+    totalSamples_ += c.take;
+    maxTaken = std::max(maxTaken, c.take);
   }
   chargeTime(maxTaken);
 }

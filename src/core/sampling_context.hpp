@@ -22,7 +22,8 @@ class EvalScheduler;
 
 /// Mediates all sampling of a StochasticObjective on behalf of an
 /// optimization algorithm, and owns the accounting the paper's experiments
-/// report on:
+/// report on.  Samples are computed inline (the reference path) or, given
+/// a backend, through an EvalScheduler over it:
 ///
 ///  * the virtual wall clock, advanced under the paper's concurrency model
 ///    (the d+3 workers sample their vertices simultaneously, so a batch of
@@ -39,17 +40,16 @@ class SamplingContext {
     /// still cannot resolve at the cap is forcibly resolved (the paper's
     /// "coincidentally nearly identical vertices" hazard, section 2.3).
     std::int64_t maxSamplesPerVertex = 1'000'000;
-    /// Optional sampling backend (non-owning; must outlive the context).
-    /// nullptr computes samples inline.
+    /// Optional sampling backend (non-owning; must outlive the context),
+    /// driven through an EvalScheduler.  nullptr computes samples inline.
     SamplingBackend* backend = nullptr;
     /// First vertex id handed out.  Distinct contexts over the same
     /// objective should use disjoint id ranges so their noise streams stay
     /// independent (ids key the counter-based RNG).
     std::uint64_t firstVertexId = 0;
     /// Shard a backend batch across workers once it exceeds this many
-    /// samples (0 = never shard).  Requires a backend with an async()
-    /// interface; ignored otherwise.  Results are bitwise identical to the
-    /// unsharded backend path (canonical chunk merge).
+    /// samples (0 = never shard).  Ignored without a backend.  Results are
+    /// bitwise identical to the unsharded path (canonical chunk merge).
     std::int64_t shardMinSamples = 0;
     /// Submit the next round's predicted refinement while the current one
     /// is in flight (see EvalScheduler).  Speculative samples are staged
@@ -133,10 +133,6 @@ class SamplingContext {
     return v.sampleCount() >= options_.maxSamplesPerVertex;
   }
 
-  /// The pipeline scheduler, when one is active (backend with an async()
-  /// interface plus sharding or speculation requested); nullptr otherwise.
-  [[nodiscard]] const EvalScheduler* scheduler() const noexcept { return scheduler_.get(); }
-
  private:
   /// Duplicate-free view of a request batch: first-occurrence order, one
   /// entry per vertex with the summed sample count and the take actually
@@ -148,12 +144,18 @@ class SamplingContext {
   [[nodiscard]] std::vector<CoalescedRequest> coalesce(
       std::span<const RefineRequest> requests) const;
 
+  /// The scheduler's prefetch batch for `nextRoundHint`: each hinted
+  /// vertex's refinement, starting where this round's `coal` leaves it.
+  /// Empty unless speculating.
+  [[nodiscard]] std::vector<SamplingBackend::BatchRequest> predictHints(
+      std::span<const CoalescedRequest> coal, std::span<const RefineRequest> nextRoundHint) const;
+
   const noise::StochasticObjective& objective_;
   Options options_;
   noise::VirtualClock clock_;
   std::int64_t totalSamples_ = 0;
   std::uint64_t nextVertexId_;
-  std::unique_ptr<EvalScheduler> scheduler_;
+  std::unique_ptr<EvalScheduler> scheduler_;  ///< exactly when there is a backend
 };
 
 }  // namespace sfopt::core

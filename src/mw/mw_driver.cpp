@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -44,13 +44,10 @@ void MWDriver::setTelemetry(telemetry::Telemetry* telemetry) {
   telTasksRequeued_ = &reg.counter("mw.tasks_requeued");
   telTasksDispatched_ = &reg.counter("mw.tasks_dispatched");
   telWorkersLost_ = &reg.counter("mw.workers_lost");
-  telBatches_ = &reg.counter("mw.batches");
   telQueueWait_ = &reg.histogram("mw.task.queue_wait_seconds",
                                  telemetry::Histogram::exponentialBounds(1e-6, 10.0, 7));
   telExecute_ = &reg.histogram("mw.task.execute_seconds",
                                telemetry::Histogram::exponentialBounds(1e-6, 10.0, 7));
-  telUtilization_ = &reg.histogram("mw.worker.utilization",
-                                   {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
   telIdleFraction_ = &reg.histogram("mw.worker_idle_fraction",
                                     {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
   telSpecDuplicates_ = &reg.counter("mw.speculative_duplicates");
@@ -69,74 +66,12 @@ double MWDriver::telNow() const {
   return telemetry_ != nullptr ? telemetry_->clock().now() : 0.0;
 }
 
-std::vector<MessageBuffer> MWDriver::executeBuffers(std::vector<MessageBuffer> inputs) {
-  if (shutDown_) throw std::logic_error("MWDriver: already shut down");
-  const std::size_t n = inputs.size();
-  std::vector<MessageBuffer> results(n);
-  if (n == 0) return results;
-  const double batchStart = telNow();
-  std::fill(busySeconds_.begin(), busySeconds_.end(), 0.0);
-  // Ids are handed out consecutively, so this batch owns [first, first + n).
-  const std::uint64_t first = nextTaskId_;
-  for (MessageBuffer& input : inputs) (void)submit(std::move(input));
-  for (std::size_t done = 0; done < n;) {
-    std::optional<Message> msg = comm_.recvFor(0, recvTimeoutSeconds_);
-    if (!msg.has_value()) {
-      throw std::runtime_error(
-          "MWDriver: no worker message for " + std::to_string(recvTimeoutSeconds_) +
-          "s with " + std::to_string(n - done) + " task(s) outstanding");
-    }
-    handleMessage(std::move(*msg));
-    // A message completes at most one task, appended last; a completion
-    // that is not this batch's stays queued for poll()/drain().
-    if (ready_.empty() || ready_.back().id - first >= n) continue;
-    AsyncCompletion& c = ready_.back();
-    if (telemetry_ != nullptr) {
-      telemetry_->tracer().emitComplete("shard.folded", telNow(), 0, {}, {}, c.id);
-    }
-    results[c.id - first] = std::move(c.payload);
-    ready_.pop_back();
-    ++done;
-  }
-  if (telemetry_ != nullptr) {
-    const double elapsed = telNow() - batchStart;
-    if (elapsed > 0.0) {
-      for (Rank w = 1; w < comm_.size() && static_cast<std::size_t>(w) < busySeconds_.size();
-           ++w) {
-        telUtilization_->observe(busySeconds_[static_cast<std::size_t>(w)] / elapsed);
-      }
-    }
-    telBatches_->add(1);
-    telemetry_->tracer().emitComplete(
-        "mw.batch", batchStart, 0, {},
-        {{"tasks", static_cast<double>(n)},
-         {"workers", static_cast<double>(workerCount())}});
-  }
-  return results;
-}
-
-void MWDriver::executeTasks(std::span<MWTask* const> tasks) {
-  std::vector<MessageBuffer> inputs;
-  inputs.reserve(tasks.size());
-  for (MWTask* t : tasks) {
-    if (t == nullptr) throw std::invalid_argument("MWDriver::executeTasks: null task");
-    MessageBuffer buf;
-    t->packInput(buf);
-    inputs.push_back(std::move(buf));
-  }
-  auto results = executeBuffers(std::move(inputs));
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    tasks[i]->unpackResult(results[i]);
-  }
-}
-
 void MWDriver::growTo(int worldSize) {
   const auto s = static_cast<std::size_t>(worldSize);
   if (busy_.size() < s) {
     busy_.resize(s, false);
     inFlightId_.resize(s, 0);
     ghostId_.resize(s, 0);
-    busySeconds_.resize(s, 0.0);
     ensureRank(worldSize - 1);
   }
 }
@@ -226,9 +161,7 @@ void MWDriver::requeue(Rank worker, std::uint64_t id, const std::string& why,
   Task& st = it->second;
   st.lastFailedOn = worker;
   if (telemetry_ != nullptr) {
-    // The failed attempt still occupied the worker: count it as busy so
-    // utilization reflects wasted capacity, and restart the queue clock.
-    busySeconds_[static_cast<std::size_t>(worker)] += telNow() - st.dispatchedAt;
+    // Restart the queue clock for the next attempt.
     telTasksRequeued_->add(1);
     st.enqueuedAt = telNow();
     telemetry_->tracer().end(st.remoteSpan, {{"outcome", outcome}},
@@ -265,7 +198,6 @@ void MWDriver::observeIdleFraction() {
 }
 
 void MWDriver::handleMessage(Message msg) {
-  ++messagesHandled_;
   if (msg.tag == kTagResult) {
     const std::uint64_t id = msg.payload.unpackUint64();
     growTo(msg.source + 1);
@@ -296,14 +228,13 @@ void MWDriver::handleMessage(Message msg) {
     if (telemetry_ != nullptr) {
       const double d = telNow() - it->second.dispatchedAt;
       telExecute_->observe(d);
-      busySeconds_[src] += d;
       telTasksCompleted_->add(1);
       auto& tracer = telemetry_->tracer();
       tracer.end(it->second.remoteSpan, {{"outcome", "ok"}},
                  {{"rank", static_cast<double>(msg.source)}});
       // No terminal marker here: whoever consumes the completion
-      // (executeBuffers, EvalScheduler, the service) decides whether it is
-      // folded or discarded and traces that.
+      // (EvalScheduler, the service) decides whether it is folded or
+      // discarded and traces that.
       tracer.end(it->second.rootSpan, {{"outcome", "ok"}},
                  {{"requeues", static_cast<double>(it->second.retries)}});
     }
@@ -444,17 +375,28 @@ std::vector<MWDriver::AsyncCompletion> MWDriver::poll(double timeoutSeconds) {
   // Drain whatever already arrived without waiting.
   while (auto msg = comm_.tryRecv(0)) handleMessage(std::move(*msg));
   maybeSpeculate();
-  if (!ready_.empty() || tasks_.empty() || timeoutSeconds <= 0.0) {
-    return std::exchange(ready_, {});
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeoutSeconds);
-  while (ready_.empty()) {
-    const double remaining =
-        std::chrono::duration<double>(deadline - std::chrono::steady_clock::now()).count();
-    if (remaining <= 0.0) break;
-    auto msg = comm_.recvFor(0, remaining);
-    if (!msg.has_value()) break;
+  // Silence is judged per receive-timeout window: a window that ends
+  // without any worker message, while tasks are outstanding, throws.  An
+  // error or loss report is a message, so a requeued task gets a fresh
+  // window instead of inheriting the failed attempt's silence.
+  const double deadline = steadySeconds() + timeoutSeconds;
+  double windowEnd = steadySeconds() + recvTimeoutSeconds_;
+  bool heard = false;
+  while (ready_.empty() && !tasks_.empty()) {
+    const double now = steadySeconds();
+    if (now >= deadline) break;
+    if (now >= windowEnd) {
+      if (!heard) {
+        throw std::runtime_error(
+            "MWDriver: no worker message for " + std::to_string(recvTimeoutSeconds_) +
+            "s with " + std::to_string(tasks_.size()) + " task(s) outstanding");
+      }
+      heard = false;
+      windowEnd = now + recvTimeoutSeconds_;
+    }
+    auto msg = comm_.recvFor(0, std::min(deadline, windowEnd) - now);
+    if (!msg.has_value()) continue;
+    heard = true;
     handleMessage(std::move(*msg));
     while (auto extra = comm_.tryRecv(0)) handleMessage(std::move(*extra));
     maybeSpeculate();
@@ -463,21 +405,10 @@ std::vector<MWDriver::AsyncCompletion> MWDriver::poll(double timeoutSeconds) {
 }
 
 std::vector<MWDriver::AsyncCompletion> MWDriver::drain() {
-  std::vector<AsyncCompletion> all = std::exchange(ready_, {});
-  while (!tasks_.empty()) {
-    // A window may yield no completions yet still make progress: an error
-    // or worker-lost message requeues the task mid-window.  Only a window
-    // with no messages at all means the fabric is silent; a just-requeued
-    // task gets a fresh window.
-    const std::uint64_t before = messagesHandled_;
-    auto got = poll(recvTimeoutSeconds_);
-    if (got.empty() && messagesHandled_ == before && !tasks_.empty()) {
-      throw std::runtime_error(
-          "MWDriver: no worker message for " + std::to_string(recvTimeoutSeconds_) + "s with " +
-          std::to_string(tasks_.size()) + " task(s) outstanding");
-    }
-    for (auto& c : got) all.push_back(std::move(c));
-  }
+  std::vector<AsyncCompletion> all;
+  do {
+    for (auto& c : poll(std::numeric_limits<double>::infinity())) all.push_back(std::move(c));
+  } while (!tasks_.empty());
   return all;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,10 +26,10 @@ namespace sfopt::mw {
 /// each completed result immediately frees its worker for the next queued
 /// task, so stragglers do not serialize the work.
 ///
-/// One task table, one dispatch loop and one message handler serve both
-/// entry points: submit()/poll()/drain() hand tasks in and completions out
-/// as they finish, and executeBuffers() is a blocking batch built on the
-/// same core — it submits its inputs and waits for exactly those ids.
+/// One task table, one dispatch loop and one message handler: submit()
+/// hands a task in, and poll()/drain() hand completions out as they
+/// finish.  Samplers reach it through MWSamplingBackend and an
+/// EvalScheduler; the multi-tenant service drives it from its daemon loop.
 ///
 /// Worker failure is part of the protocol, not an afterthought: a
 /// kTagError reply requeues the task elsewhere, a kTagWorkerLost control
@@ -42,33 +41,23 @@ class MWDriver {
  public:
   explicit MWDriver(net::Transport& comm);
 
-  /// Execute a batch of already-marshaled task inputs; returns the result
-  /// buffers in input order.  submit()s every input, then waits for
-  /// exactly those ids: completions of tasks submitted separately stay
-  /// queued for the next poll()/drain().  Throws when a task exhausts its
-  /// retry budget, when every worker is lost, or when no worker message
-  /// arrives within the receive timeout; the batch's unfinished tasks then
-  /// stay in the table (shutdown() closes their spans as abandoned).
-  [[nodiscard]] std::vector<MessageBuffer> executeBuffers(std::vector<MessageBuffer> inputs);
-
-  /// Typed convenience: marshal each task's input, execute the batch, and
-  /// unmarshal each result back into the same task objects.
-  void executeTasks(std::span<MWTask* const> tasks);
-
-  /// One finished non-blocking task: the id submit() returned and the
-  /// worker's result payload.
+  /// One finished task: the id submit() returned and the worker's result
+  /// payload.
   struct AsyncCompletion {
     std::uint64_t id = 0;
     MessageBuffer payload;
   };
 
-  /// Non-blocking pipeline API: submit() enqueues one task (dispatching it
-  /// immediately when a worker is free) and returns its id; poll() waits
-  /// up to `timeoutSeconds` for at least one completion (0 = drain only)
-  /// and returns everything finished so far; drain() blocks until nothing
-  /// is outstanding.  Completions arrive in completion order, not submit
-  /// order.  A shard whose worker fails or dies is requeued and
-  /// re-dispatched transparently.
+  /// submit() enqueues one task (dispatching it immediately when a worker
+  /// is free) and returns its id; poll() waits up to `timeoutSeconds` for
+  /// at least one completion (0 = drain only) and returns everything
+  /// finished so far; drain() blocks until nothing is outstanding.
+  /// Completions arrive in completion order, not submit order.  A shard
+  /// whose worker fails or dies is requeued and re-dispatched
+  /// transparently.  Any wait with tasks outstanding throws once a whole
+  /// receive-timeout window (see setRecvTimeout) passes without a worker
+  /// message; a window that carries only an error or loss report still
+  /// counts as progress, so a requeued task gets a fresh window.
   ///
   /// `trace`, when nonzero, is used verbatim as the distributed trace id
   /// stamped on the task's spans and wire messages (0 keeps the legacy
@@ -106,10 +95,10 @@ class MWDriver {
   void setMaxRetries(int retries) { maxRetries_ = retries; }
   [[nodiscard]] int maxRetries() const noexcept { return maxRetries_; }
 
-  /// Longest silence executeBuffers() and drain() tolerate while tasks are
-  /// in flight before concluding the run is wedged and throwing.  Generous
-  /// default: transports already convert dead workers into kTagWorkerLost
-  /// well before this fires; it is the backstop, not the detector.
+  /// Longest silence poll() and drain() tolerate while tasks are in flight
+  /// before concluding the run is wedged and throwing.  Generous default:
+  /// transports already convert dead workers into kTagWorkerLost well
+  /// before this fires; it is the backstop, not the detector.
   void setRecvTimeout(double seconds) { recvTimeoutSeconds_ = seconds; }
   [[nodiscard]] double recvTimeout() const noexcept { return recvTimeoutSeconds_; }
 
@@ -144,19 +133,18 @@ class MWDriver {
 
   /// Attach the observability spine (non-owning; must outlive the driver).
   /// Pre-registers the task-lifecycle metrics — queue-wait and execute
-  /// histograms, per-worker utilization, completion/requeue counters — and
-  /// emits one `mw.batch` span per executeBuffers call.  Per-rank busy
-  /// seconds (failed attempts included) are kept only while a spine is
-  /// attached; each batch observes its share as `mw.worker.utilization`.
+  /// histograms, the fleet idle fraction sampled at every completion,
+  /// completion/requeue counters.
   ///
   /// With a spine attached every task additionally becomes a span tree
   /// keyed by its trace id: one `shard.lifecycle` root per task, a
   /// `shard.queue` child per dispatch attempt, and a `shard.remote` child
   /// covering wire + worker execution (ended with outcome ok / error /
-  /// lost).  executeBuffers ends each tree with a `shard.folded` marker as
-  /// the result lands in its slot; submit() callers emit their own.  The
-  /// trace context rides the transport envelope, so a worker's
-  /// `worker.execute` span parents under the matching `shard.remote`.
+  /// lost).  Whoever consumes a completion ends the tree with a
+  /// `shard.folded` or `shard.discarded` marker: the EvalScheduler, or the
+  /// service for a completion whose job has closed.  The trace context rides the transport envelope, so a
+  /// worker's `worker.execute` span parents under the matching
+  /// `shard.remote`.
   void setTelemetry(telemetry::Telemetry* telemetry);
 
  private:
@@ -208,10 +196,6 @@ class MWDriver {
   /// Per-rank id of a speculated task that already completed elsewhere:
   /// the rank stays busy until its late (discarded) report frees it.
   std::vector<std::uint64_t> ghostId_;
-  /// Per-rank seconds spent on attempts, failed ones included, since the
-  /// current executeBuffers batch began; accumulated only while a
-  /// telemetry spine is attached.
-  std::vector<double> busySeconds_;
   int inFlight_ = 0;
   double speculativeFactor_ = 0.0;
   double executeEwma_ = 0.0;  ///< steady-clock EWMA of execute seconds
@@ -219,9 +203,6 @@ class MWDriver {
   std::uint64_t speculativeDiscards_ = 0;
   std::uint64_t staleResultsDiscarded_ = 0;
   std::vector<AsyncCompletion> ready_;
-  /// Every worker message handled, completions or not; drain() uses it to
-  /// tell "backend silent" from "recovery in progress".
-  std::uint64_t messagesHandled_ = 0;
 
   /// Pre-registered handles; all non-null exactly when telemetry_ is set.
   telemetry::Telemetry* telemetry_ = nullptr;
@@ -229,13 +210,11 @@ class MWDriver {
   telemetry::Counter* telTasksRequeued_ = nullptr;
   telemetry::Counter* telTasksDispatched_ = nullptr;
   telemetry::Counter* telWorkersLost_ = nullptr;
-  telemetry::Counter* telBatches_ = nullptr;
   telemetry::Counter* telSpecDuplicates_ = nullptr;
   telemetry::Counter* telSpecDiscards_ = nullptr;
   telemetry::Counter* telStaleDiscards_ = nullptr;
   telemetry::Histogram* telQueueWait_ = nullptr;
   telemetry::Histogram* telExecute_ = nullptr;
-  telemetry::Histogram* telUtilization_ = nullptr;
   telemetry::Histogram* telIdleFraction_ = nullptr;
 };
 

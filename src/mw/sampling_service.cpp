@@ -52,47 +52,13 @@ void SamplingWorker::executeTask(MessageBuffer& in, MessageBuffer& out) {
   task.packResult(out);
 }
 
-stats::Welford MWSamplingBackend::sampleBatch(const BatchRequest& request) {
-  const BatchRequest reqs[] = {request};
-  return sampleBatches(reqs).front();
-}
-
-std::vector<stats::Welford> MWSamplingBackend::sampleBatches(
-    std::span<const BatchRequest> requests) {
-  // Capped vertices arrive as zero-count requests; computing nothing does
-  // not need a worker round trip, so only real batches go on the wire and
-  // results are mapped back to their slots by index.
-  std::vector<stats::Welford> out(requests.size());
-  std::vector<SamplingTask> tasks;
-  std::vector<std::size_t> slot;
-  tasks.reserve(requests.size());
-  slot.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].count == 0) continue;
-    tasks.emplace_back(requests[i]);
-    slot.push_back(i);
-  }
-  if (tasks.empty()) return out;
-  std::vector<MWTask*> ptrs;
-  ptrs.reserve(tasks.size());
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver_.executeTasks(ptrs);
-  for (std::size_t j = 0; j < tasks.size(); ++j) {
-    out[slot[j]] = tasks[j].result();
-  }
-  return out;
-}
-
-std::uint64_t MWSamplingBackend::AsyncAdapter::submit(
-    const core::SamplingBackend::BatchRequest& request) {
-  SamplingTask task(request);
+std::uint64_t MWSamplingBackend::submit(const BatchRequest& request) {
   MessageBuffer buf;
-  task.packInput(buf);
+  SamplingTask(request).packInput(buf);
   return driver_.submit(std::move(buf));
 }
 
-std::vector<core::AsyncSamplingBackend::Completion> MWSamplingBackend::AsyncAdapter::poll(
-    double timeoutSeconds) {
+std::vector<core::SamplingBackend::Completion> MWSamplingBackend::poll(double timeoutSeconds) {
   auto done = driver_.poll(timeoutSeconds);
   std::vector<Completion> out;
   out.reserve(done.size());
@@ -104,8 +70,6 @@ std::vector<core::AsyncSamplingBackend::Completion> MWSamplingBackend::AsyncAdap
   return out;
 }
 
-int MWSamplingBackend::AsyncAdapter::parallelism() const {
-  return std::max(driver_.liveWorkerCount(), 1);
-}
+int MWSamplingBackend::parallelism() const { return std::max(driver_.liveWorkerCount(), 1); }
 
 }  // namespace sfopt::mw

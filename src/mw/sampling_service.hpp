@@ -6,20 +6,20 @@
 
 #include "core/sampling_backend.hpp"
 #include "mw/mw_driver.hpp"
-#include "mw/mw_task.hpp"
 #include "mw/mw_worker.hpp"
 #include "mw/vertex_server.hpp"
 #include "noise/stochastic_objective.hpp"
 
 namespace sfopt::mw {
 
-/// The concrete MWTask of the optimization service: "evaluate `count`
+/// The one MW task of the optimization service: "evaluate `count`
 /// samples of the objective at x for noise stream vertexId, starting at
-/// startIndex".  The result travels as canonical per-chunk Welford moments
+/// startIndex".  The master marshals the input and the worker the result.
+/// The result travels as canonical per-chunk Welford moments
 /// (core::kEvalChunkSamples), never pre-merged, so the master controls the
 /// merge order and stays bitwise reproducible across shard counts, client
 /// counts and completion orders.
-class SamplingTask final : public MWTask {
+class SamplingTask {
  public:
   SamplingTask() = default;
   explicit SamplingTask(core::SamplingBackend::BatchRequest request)
@@ -28,22 +28,17 @@ class SamplingTask final : public MWTask {
         startIndex_(request.startIndex),
         count_(request.count) {}
 
-  void packInput(MessageBuffer& buf) const override;
-  void unpackInput(MessageBuffer& buf) override;
-  void packResult(MessageBuffer& buf) const override;
-  void unpackResult(MessageBuffer& buf) override;
+  /// Marshal / unmarshal the work description.
+  void packInput(MessageBuffer& buf) const;
+  void unpackInput(MessageBuffer& buf);
+  /// Marshal / unmarshal the computed chunk moments.
+  void packResult(MessageBuffer& buf) const;
+  void unpackResult(MessageBuffer& buf);
 
   [[nodiscard]] const std::vector<double>& x() const noexcept { return x_; }
   [[nodiscard]] std::uint64_t vertexId() const noexcept { return vertexId_; }
   [[nodiscard]] std::uint64_t startIndex() const noexcept { return startIndex_; }
   [[nodiscard]] std::int64_t count() const noexcept { return count_; }
-
-  /// The batch's canonical chunk fold (what a synchronous caller absorbs).
-  [[nodiscard]] stats::Welford result() const noexcept {
-    return core::foldEvalChunks(chunks_);
-  }
-  /// Single-partial convenience kept for callers that predate chunking.
-  void setResult(stats::Welford w) { chunks_ = {w}; }
 
   [[nodiscard]] const std::vector<stats::Welford>& chunks() const noexcept { return chunks_; }
   void setChunks(std::vector<stats::Welford> chunks) noexcept { chunks_ = std::move(chunks); }
@@ -77,37 +72,19 @@ class SamplingWorker final : public MWWorker {
 };
 
 /// Bridges the optimization core to the MW runtime: every sampling batch
-/// the algorithms request becomes a SamplingTask executed on the worker
-/// pool.  Plug an instance into SamplingContext::Options::backend.  The
-/// async() interface exposes the driver's non-blocking submit/poll path,
-/// which is what lets an EvalScheduler shard batches and run speculative
-/// rounds over the same deployment.
+/// the algorithms request becomes a SamplingTask submitted to the driver,
+/// and its ticket is the driver's task id.  Plug an instance into
+/// SamplingContext::Options::backend.
 class MWSamplingBackend final : public core::SamplingBackend {
  public:
-  explicit MWSamplingBackend(MWDriver& driver) : driver_(driver), async_(driver) {}
+  explicit MWSamplingBackend(MWDriver& driver) : driver_(driver) {}
 
-  [[nodiscard]] stats::Welford sampleBatch(const BatchRequest& request) override;
-  [[nodiscard]] std::vector<stats::Welford> sampleBatches(
-      std::span<const BatchRequest> requests) override;
-  [[nodiscard]] core::AsyncSamplingBackend* async() override { return &async_; }
+  [[nodiscard]] std::uint64_t submit(const BatchRequest& request) override;
+  [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds) override;
+  [[nodiscard]] int parallelism() const override;
 
  private:
-  /// Thin ticket adapter: SamplingTask marshaling over MWDriver's
-  /// submit/poll, chunk lists straight off the wire.
-  class AsyncAdapter final : public core::AsyncSamplingBackend {
-   public:
-    explicit AsyncAdapter(MWDriver& driver) : driver_(driver) {}
-    [[nodiscard]] std::uint64_t submit(
-        const core::SamplingBackend::BatchRequest& request) override;
-    [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds) override;
-    [[nodiscard]] int parallelism() const override;
-
-   private:
-    MWDriver& driver_;
-  };
-
   MWDriver& driver_;
-  AsyncAdapter async_;
 };
 
 }  // namespace sfopt::mw

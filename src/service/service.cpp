@@ -70,6 +70,13 @@ double OptimizationService::telNow() const {
                                     : net::monotonicSeconds();
 }
 
+void OptimizationService::traceClosedShard(std::uint64_t ticket, std::size_t chunks) {
+  if (opts_.telemetry == nullptr) return;
+  auto& tracer = opts_.telemetry->tracer();
+  tracer.emitComplete("shard.discarded", tracer.now(), 0, {{"reason", "closed"}},
+                      {{"chunks", static_cast<double>(chunks)}}, ticket);
+}
+
 void OptimizationService::logLine(const std::string& line) {
   if (opts_.log != nullptr) *opts_.log << line << "\n" << std::flush;
 }
@@ -193,10 +200,12 @@ void OptimizationService::finalizeJob(JobRecord& rec, JobState state,
     durable_->recordFinished(rec.id, rec.state, rec.error, rec.outcome);
     durable_->removeJobCheckpoint(rec.id);
   }
-  exchange_.closeJob(rec.id);
-  // In-flight routes stay: their completions still arrive from the fleet
-  // and progress() marks each one shard.discarded (closed job) so the
-  // span trees terminate.  fleetFailure clears them if the fleet dies.
+  // Completions delivered after the job's scheduler last polled end their
+  // span trees here.  In-flight routes stay: their completions still
+  // arrive from the fleet and progress() marks each one shard.discarded
+  // (closed job) so the span trees terminate.  fleetFailure clears them
+  // if the fleet dies.
+  for (const auto& c : exchange_.closeJob(rec.id)) traceClosedShard(c.ticket, c.chunks.size());
   const double started = rec.startedAt != 0.0 ? rec.startedAt : rec.submittedAt;
   if (opts_.telemetry != nullptr) {
     opts_.telemetry->tracer().emitComplete(
@@ -503,18 +512,12 @@ void OptimizationService::progress() {
       mw::SamplingTask task;
       task.unpackResult(c.payload);
       auto chunks = task.releaseChunks();
-      const auto chunkCount = static_cast<double>(chunks.size());
-      const bool folded = exchange_.deliver(r.jobId, r.ticket, std::move(chunks));
-      // Terminal markers for the shard span trees (§9.7): the driver ends
-      // the lifecycle root when the task completes; the exchange's verdict
-      // — folded into its job or dropped because the job closed — finishes
-      // the tree so `sfopt trace --verify` holds for service captures too.
-      if (opts_.telemetry != nullptr) {
-        auto& tracer = opts_.telemetry->tracer();
-        std::vector<std::pair<std::string, std::string>> strFields;
-        if (!folded) strFields.emplace_back("reason", "closed");
-        tracer.emitComplete(folded ? "shard.folded" : "shard.discarded", tracer.now(), 0,
-                            std::move(strFields), {{"chunks", chunkCount}}, r.ticket);
+      const std::size_t chunkCount = chunks.size();
+      // Terminal markers for the shard span trees (§9.7): the job's
+      // scheduler marks every completion it polls folded or discarded; one
+      // that finds its job already closed ends here.
+      if (!exchange_.deliver(r.jobId, r.ticket, std::move(chunks))) {
+        traceClosedShard(r.ticket, chunkCount);
       }
     }
   } else {

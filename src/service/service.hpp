@@ -115,6 +115,8 @@ class OptimizationService {
 
   [[nodiscard]] double telNow() const;
   void logLine(const std::string& line);
+  /// End the span tree of a completion no job scheduler will see.
+  void traceClosedShard(std::uint64_t ticket, std::size_t chunks);
 
   void recoverState();
   void ensureDriver();

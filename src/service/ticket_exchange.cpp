@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
+#include <cmath>
+#include <iterator>
 #include <utility>
-
-#include "core/sampling_context.hpp"
 
 namespace sfopt::service {
 
@@ -16,9 +15,15 @@ void TicketExchange::openJob(std::uint64_t jobId, int priority) {
   jobs_.emplace(jobId, std::move(channel));
 }
 
-void TicketExchange::closeJob(std::uint64_t jobId) {
+std::vector<TicketExchange::Completion> TicketExchange::closeJob(std::uint64_t jobId) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  jobs_.erase(jobId);
+  const auto it = jobs_.find(jobId);
+  if (it == jobs_.end()) return {};
+  std::deque<Completion>& done = it->second->done;
+  std::vector<Completion> unpolled(std::make_move_iterator(done.begin()),
+                                   std::make_move_iterator(done.end()));
+  jobs_.erase(it);
+  return unpolled;
 }
 
 TicketExchange::Channel& TicketExchange::channelOrThrow(std::uint64_t jobId) {
@@ -53,7 +58,11 @@ std::vector<TicketExchange::Completion> TicketExchange::poll(std::uint64_t jobId
   Channel& ch = *it->second;
   const auto ready = [&ch] { return ch.aborted || !ch.done.empty(); };
   if (!ready() && timeoutSeconds > 0.0) {
-    ch.cv.wait_for(lock, std::chrono::duration<double>(timeoutSeconds), ready);
+    if (std::isinf(timeoutSeconds)) {
+      ch.cv.wait(lock, ready);  // abort() ends it
+    } else {
+      ch.cv.wait_for(lock, std::chrono::duration<double>(timeoutSeconds), ready);
+    }
   }
   if (ch.aborted) throw JobAborted(ch.reason, ch.cancelled);
   std::vector<Completion> out(std::make_move_iterator(ch.done.begin()),
@@ -118,51 +127,16 @@ std::size_t TicketExchange::pendingShards() const {
   return n;
 }
 
-stats::Welford ExchangeBackend::sampleBatch(const BatchRequest& request) {
-  const BatchRequest reqs[] = {request};
-  return sampleBatches(reqs).front();
-}
-
-std::vector<stats::Welford> ExchangeBackend::sampleBatches(
-    std::span<const BatchRequest> requests) {
-  // Synchronous facade over the ticket path: submit every real batch, then
-  // poll until each ticket reports.  Zero-count requests (capped vertices)
-  // cost nothing.
-  std::vector<stats::Welford> out(requests.size());
-  std::unordered_map<std::uint64_t, std::size_t> slotOf;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].count == 0) continue;
-    slotOf.emplace(async_.submit(requests[i]), i);
-  }
-  while (!slotOf.empty()) {
-    for (auto& c : exchange_.poll(jobId_, 1.0)) {
-      const auto it = slotOf.find(c.ticket);
-      if (it == slotOf.end()) continue;
-      out[it->second] = core::foldEvalChunks(c.chunks);
-      slotOf.erase(it);
-    }
-  }
-  return out;
-}
-
-std::uint64_t ExchangeBackend::Async::submit(
-    const core::SamplingBackend::BatchRequest& request) {
+std::uint64_t ExchangeBackend::submit(const BatchRequest& request) {
   mw::MessageBuffer buf;
-  packServiceTaskInput(buf, owner_.jobId_, owner_.spec_, request);
-  return owner_.exchange_.submit(owner_.jobId_, std::move(buf));
+  packServiceTaskInput(buf, jobId_, spec_, request);
+  return exchange_.submit(jobId_, std::move(buf));
 }
 
-std::vector<core::AsyncSamplingBackend::Completion> ExchangeBackend::Async::poll(
-    double timeoutSeconds) {
-  auto done = owner_.exchange_.poll(owner_.jobId_, timeoutSeconds);
-  std::vector<Completion> out;
-  out.reserve(done.size());
-  for (auto& c : done) out.push_back(Completion{c.ticket, std::move(c.chunks)});
-  return out;
+std::vector<core::SamplingBackend::Completion> ExchangeBackend::poll(double timeoutSeconds) {
+  return exchange_.poll(jobId_, timeoutSeconds);
 }
 
-int ExchangeBackend::Async::parallelism() const {
-  return std::max(owner_.exchange_.parallelism(), 1);
-}
+int ExchangeBackend::parallelism() const { return std::max(exchange_.parallelism(), 1); }
 
 }  // namespace sfopt::service

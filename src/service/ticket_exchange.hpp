@@ -59,10 +59,7 @@ class TicketExchange {
   explicit TicketExchange(std::function<void()> onSubmit = {})
       : onSubmit_(std::move(onSubmit)) {}
 
-  struct Completion {
-    std::uint64_t ticket = 0;
-    std::vector<stats::Welford> chunks;
-  };
+  using Completion = core::SamplingBackend::Completion;
 
   struct PendingShard {
     std::uint64_t jobId = 0;
@@ -74,15 +71,17 @@ class TicketExchange {
   /// (1..100) is the job's weighted-round-robin drain weight.
   void openJob(std::uint64_t jobId, int priority = 1);
 
-  /// Daemon: tear down a channel.  Only safe once the job thread exited.
-  void closeJob(std::uint64_t jobId);
+  /// Daemon: tear down a channel and return the completions its job never
+  /// polled.  Only safe once the job thread exited.
+  std::vector<Completion> closeJob(std::uint64_t jobId);
 
   /// Job thread: enqueue one packed task; returns its ticket.  Throws
   /// JobAborted when the job was cancelled/failed or the channel is gone.
   [[nodiscard]] std::uint64_t submit(std::uint64_t jobId, mw::MessageBuffer input);
 
   /// Job thread: wait up to `timeoutSeconds` for completions (empty vector
-  /// on timeout).  Throws JobAborted when the job was cancelled/failed.
+  /// on timeout; infinity waits until one arrives).  Throws JobAborted
+  /// when the job was cancelled/failed.
   [[nodiscard]] std::vector<Completion> poll(std::uint64_t jobId, double timeoutSeconds);
 
   /// Daemon: route one completed shard back to its job.  Returns false
@@ -131,35 +130,22 @@ class TicketExchange {
 };
 
 /// The per-job core::SamplingBackend: marshals every batch into a
-/// self-describing service task and moves it through the exchange.  Lives
-/// on the job's engine thread; one instance per job.
+/// self-describing service task and moves it through the exchange; its
+/// tickets are the exchange's.  Lives on the job's engine thread; one
+/// instance per job.
 class ExchangeBackend final : public core::SamplingBackend {
  public:
   ExchangeBackend(TicketExchange& exchange, std::uint64_t jobId, ObjectiveSpec spec)
-      : exchange_(exchange), jobId_(jobId), spec_(std::move(spec)), async_(*this) {}
+      : exchange_(exchange), jobId_(jobId), spec_(std::move(spec)) {}
 
-  [[nodiscard]] stats::Welford sampleBatch(const BatchRequest& request) override;
-  [[nodiscard]] std::vector<stats::Welford> sampleBatches(
-      std::span<const BatchRequest> requests) override;
-  [[nodiscard]] core::AsyncSamplingBackend* async() override { return &async_; }
+  [[nodiscard]] std::uint64_t submit(const BatchRequest& request) override;
+  [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds) override;
+  [[nodiscard]] int parallelism() const override;
 
  private:
-  class Async final : public core::AsyncSamplingBackend {
-   public:
-    explicit Async(ExchangeBackend& owner) : owner_(owner) {}
-    [[nodiscard]] std::uint64_t submit(
-        const core::SamplingBackend::BatchRequest& request) override;
-    [[nodiscard]] std::vector<Completion> poll(double timeoutSeconds) override;
-    [[nodiscard]] int parallelism() const override;
-
-   private:
-    ExchangeBackend& owner_;
-  };
-
   TicketExchange& exchange_;
   std::uint64_t jobId_;
   ObjectiveSpec spec_;
-  Async async_;
 };
 
 }  // namespace sfopt::service

@@ -16,7 +16,6 @@
 namespace {
 
 using namespace sfopt;
-using core::AsyncSamplingBackend;
 using core::EvalScheduler;
 using core::SamplingBackend;
 
@@ -50,7 +49,7 @@ std::vector<stats::Welford> chunksFor(std::uint64_t vertexId, std::uint64_t star
 /// Fake evaluation fabric: records every submitted shard, computes its
 /// chunks eagerly, and delivers completions newest-first — the worst case
 /// for any merge that depends on completion order.
-class FakeAsyncBackend final : public AsyncSamplingBackend {
+class FakeAsyncBackend final : public SamplingBackend {
  public:
   explicit FakeAsyncBackend(int parallelism) : parallelism_(parallelism) {}
 
@@ -60,7 +59,7 @@ class FakeAsyncBackend final : public AsyncSamplingBackend {
     std::int64_t count;
   };
 
-  std::uint64_t submit(const SamplingBackend::BatchRequest& request) override {
+  std::uint64_t submit(const BatchRequest& request) override {
     const std::uint64_t ticket = nextTicket_++;
     recorded.push_back({request.vertexId, request.startIndex, request.count});
     pending_.push_back({ticket, chunksFor(request.vertexId, request.startIndex, request.count)});

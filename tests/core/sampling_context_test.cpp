@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/noise_probe.hpp"
+#include "core/sampling_backend.hpp"
 #include "tests/core/test_helpers.hpp"
 
 namespace {
@@ -184,6 +187,57 @@ TEST(SamplingContext, NegativeRefineThrows) {
   SamplingContext ctx(obj);
   auto v = ctx.createVertex({0.0, 0.0}, 1);
   EXPECT_THROW((void)ctx.refine(*v, -1), std::invalid_argument);
+}
+
+/// A fabric with its own silence rule, longer than EvalScheduler's default
+/// 300 s backstop (as `--recv-timeout 600` makes the MW driver).  It
+/// computes each batch on submit, stays silent on the first poll, and
+/// records how long every poll was allowed to wait.
+class PatientBackend final : public core::SamplingBackend {
+ public:
+  static constexpr double kSilenceRuleSeconds = 600.0;
+
+  explicit PatientBackend(const noise::StochasticObjective& objective) : objective_(objective) {}
+
+  std::uint64_t submit(const BatchRequest& request) override {
+    Completion c{nextTicket_++, {}};
+    core::sampleChunks(objective_, request.x, request.vertexId, request.startIndex,
+                       request.count, [&c](std::span<const double> samples) {
+                         c.chunks.push_back(core::accumulateEvalChunk(samples));
+                       });
+    ready_.push_back(std::move(c));
+    return nextTicket_ - 1;
+  }
+
+  std::vector<Completion> poll(double timeoutSeconds) override {
+    waits.push_back(timeoutSeconds);
+    if (waits.size() == 1) return {};
+    return std::exchange(ready_, {});
+  }
+
+  [[nodiscard]] int parallelism() const override { return 1; }
+
+  std::vector<double> waits;
+
+ private:
+  const noise::StochasticObjective& objective_;
+  std::uint64_t nextTicket_ = 1;
+  std::vector<Completion> ready_;
+};
+
+TEST(SamplingContext, BackendSilenceIsTheBackendsToJudge) {
+  // The context's scheduler must let every wait run at least as long as
+  // the backend's own silence rule, so that rule alone decides when
+  // silence is fatal; a bound of the scheduler's would cut it short.
+  auto obj = test::noisySphere(2, 1.0);
+  PatientBackend backend(obj);
+  SamplingContext::Options opts;
+  opts.backend = &backend;
+  SamplingContext ctx(obj, opts);
+  auto v = ctx.createVertex({1.0, 1.0}, 100);
+  EXPECT_EQ(v->sampleCount(), 100);
+  ASSERT_GE(backend.waits.size(), 2u);
+  for (const double w : backend.waits) EXPECT_GE(w, PatientBackend::kSilenceRuleSeconds);
 }
 
 }  // namespace

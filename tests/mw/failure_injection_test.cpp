@@ -11,26 +11,17 @@
 #include <vector>
 
 #include "mw/mw_driver.hpp"
-#include "mw/mw_task.hpp"
 #include "mw/mw_worker.hpp"
+#include "tests/mw/driver_test_helpers.hpp"
 
 namespace {
 
 using namespace sfopt::mw;
+using sfopt::test::integers;
+using sfopt::test::submitAndDrain;
 
-class EchoTask final : public MWTask {
- public:
-  EchoTask() = default;
-  explicit EchoTask(std::int64_t v) : value_(v) {}
-  void packInput(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackInput(MessageBuffer& b) override { value_ = b.unpackInt64(); }
-  void packResult(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackResult(MessageBuffer& b) override { result_ = b.unpackInt64(); }
-  std::int64_t value_ = 0;
-  std::int64_t result_ = -1;
-};
-
-/// Fails the first `failures` tasks it sees, then behaves.
+/// Echoes its int64 input.  Fails the first `failures` tasks it sees,
+/// then behaves.
 class FlakyWorker final : public MWWorker {
  public:
   FlakyWorker(CommWorld& comm, Rank rank, int failures)
@@ -38,12 +29,11 @@ class FlakyWorker final : public MWWorker {
 
  protected:
   void executeTask(MessageBuffer& in, MessageBuffer& out) override {
-    EchoTask t;
-    t.unpackInput(in);
+    const std::int64_t value = in.unpackInt64();
     if (remainingFailures_-- > 0) {
       throw std::runtime_error("injected failure");
     }
-    t.packResult(out);
+    out.pack(value);
   }
 
  private:
@@ -82,13 +72,9 @@ TEST(FailureInjection, FlakyWorkerTasksAreRequeuedAndComplete) {
   CommWorld comm(3);
   Pool<FlakyWorker, int> pool(comm, 2, 2);  // each worker fails its first 2 tasks
   MWDriver driver(comm);
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < 12; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  const auto echoes = submitAndDrain(driver, integers(0, 12));
   for (std::int64_t i = 0; i < 12; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i);
+    EXPECT_EQ(echoes[static_cast<std::size_t>(i)], i);
   }
   EXPECT_GT(driver.tasksRequeued(), 0u);
   EXPECT_EQ(driver.tasksCompleted(), 12u);
@@ -101,10 +87,7 @@ TEST(FailureInjection, WorkerStaysUpAfterFailure) {
   MWDriver driver(comm);
   // With only one worker the driver must eventually hand the task back to
   // the same (previously failing) worker rather than deadlock.
-  EchoTask t(42);
-  MWTask* p = &t;
-  driver.executeTasks({&p, 1});
-  EXPECT_EQ(t.result_, 42);
+  EXPECT_EQ(submitAndDrain(driver, {42}), std::vector<std::int64_t>{42});
   EXPECT_EQ(pool.objs[0]->tasksFailed(), 1u);
   EXPECT_EQ(pool.objs[0]->tasksExecuted(), 1u);
   driver.shutdown();
@@ -115,9 +98,7 @@ TEST(FailureInjection, PermanentFailureSurfacesAfterRetries) {
   Pool<BrokenWorker> pool(comm, 2);
   MWDriver driver(comm);
   driver.setMaxRetries(2);
-  EchoTask t(1);
-  MWTask* p = &t;
-  EXPECT_THROW(driver.executeTasks({&p, 1}), std::runtime_error);
+  EXPECT_THROW((void)submitAndDrain(driver, {1}), std::runtime_error);
   driver.shutdown();
 }
 
@@ -135,13 +116,9 @@ TEST(FailureInjection, HealthyTasksUnaffectedByOneBadApple) {
   }
   MWDriver driver(comm);
   driver.setMaxRetries(10);
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < 30; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  const auto echoes = submitAndDrain(driver, integers(0, 30));
   for (std::int64_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i);
+    EXPECT_EQ(echoes[static_cast<std::size_t>(i)], i);
   }
   driver.shutdown();
   for (auto& t : threads) t.join();

@@ -7,29 +7,23 @@
 #include <thread>
 #include <vector>
 
-#include "mw/mw_task.hpp"
 #include "mw/mw_worker.hpp"
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
+#include "tests/mw/driver_test_helpers.hpp"
 
 namespace {
 
 using namespace sfopt::mw;
 
-/// Toy task: square an integer.
-class SquareTask final : public MWTask {
- public:
-  SquareTask() = default;
-  explicit SquareTask(std::int64_t v) : value_(v) {}
+using sfopt::test::integers;
+using sfopt::test::submitAndDrain;
 
-  void packInput(MessageBuffer& buf) const override { buf.pack(value_); }
-  void unpackInput(MessageBuffer& buf) override { value_ = buf.unpackInt64(); }
-  void packResult(MessageBuffer& buf) const override { buf.pack(result_); }
-  void unpackResult(MessageBuffer& buf) override { result_ = buf.unpackInt64(); }
-
-  std::int64_t value_ = 0;
-  std::int64_t result_ = 0;
-};
+/// The square of each value.
+std::vector<std::int64_t> squares(std::vector<std::int64_t> values) {
+  for (std::int64_t& v : values) v *= v;
+  return values;
+}
 
 /// Toy worker implementing the square service.
 class SquareWorker final : public MWWorker {
@@ -38,10 +32,8 @@ class SquareWorker final : public MWWorker {
 
  protected:
   void executeTask(MessageBuffer& in, MessageBuffer& out) override {
-    SquareTask t;
-    t.unpackInput(in);
-    t.result_ = t.value_ * t.value_;
-    t.packResult(out);
+    const std::int64_t v = in.unpackInt64();
+    out.pack(v * v);
   }
 };
 
@@ -70,14 +62,7 @@ TEST(MWDriver, ExecutesTypedTasks) {
   CommWorld comm(4);
   Pool pool(comm, 3);
   MWDriver driver(comm);
-  std::vector<SquareTask> tasks;
-  for (std::int64_t i = 0; i < 20; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
-  for (std::int64_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i * i);
-  }
+  EXPECT_EQ(submitAndDrain(driver, integers(0, 20)), squares(integers(0, 20)));
   EXPECT_EQ(driver.tasksCompleted(), 20u);
   driver.shutdown();
 }
@@ -86,25 +71,21 @@ TEST(MWDriver, EmptyBatchIsNoop) {
   CommWorld comm(2);
   Pool pool(comm, 1);
   MWDriver driver(comm);
-  auto results = driver.executeBuffers({});
-  EXPECT_TRUE(results.empty());
+  EXPECT_TRUE(driver.drain().empty());
+  EXPECT_TRUE(driver.poll(0.0).empty());
   driver.shutdown();
 }
 
 TEST(MWDriver, ResultsInTaskOrderDespiteDynamicScheduling) {
+  // Completions arrive in completion order; each carries its submit id, so
+  // the id puts every result back in its task's slot.
   CommWorld comm(3);
   Pool pool(comm, 2);
   MWDriver driver(comm);
-  std::vector<MessageBuffer> inputs;
+  const auto got = submitAndDrain(driver, integers(0, 50));
+  ASSERT_EQ(got.size(), 50u);
   for (std::int64_t i = 0; i < 50; ++i) {
-    MessageBuffer b;
-    b.pack(i);
-    inputs.push_back(std::move(b));
-  }
-  auto results = driver.executeBuffers(std::move(inputs));
-  ASSERT_EQ(results.size(), 50u);
-  for (std::int64_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].unpackInt64(), i * i);
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], i * i);
   }
   driver.shutdown();
 }
@@ -113,12 +94,7 @@ TEST(MWDriver, MoreTasksThanWorkers) {
   CommWorld comm(2);  // single worker
   Pool pool(comm, 1);
   MWDriver driver(comm);
-  std::vector<SquareTask> tasks;
-  for (std::int64_t i = 0; i < 7; ++i) tasks.emplace_back(i + 100);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
-  for (const auto& t : tasks) EXPECT_EQ(t.result_, t.value_ * t.value_);
+  EXPECT_EQ(submitAndDrain(driver, integers(100, 7)), squares(integers(100, 7)));
   driver.shutdown();
 }
 
@@ -126,11 +102,8 @@ TEST(MWDriver, MultipleBatchesReuseWorkers) {
   CommWorld comm(3);
   Pool pool(comm, 2);
   MWDriver driver(comm);
-  for (int round = 0; round < 5; ++round) {
-    SquareTask t(round);
-    MWTask* p = &t;
-    driver.executeTasks({&p, 1});
-    EXPECT_EQ(t.result_, static_cast<std::int64_t>(round) * round);
+  for (std::int64_t round = 0; round < 5; ++round) {
+    EXPECT_EQ(submitAndDrain(driver, {round}), std::vector<std::int64_t>{round * round});
   }
   EXPECT_EQ(driver.tasksCompleted(), 5u);
   driver.shutdown();
@@ -142,18 +115,23 @@ TEST(MWDriver, ShutdownIsIdempotentAndExecuteAfterThrows) {
   MWDriver driver(comm);
   driver.shutdown();
   driver.shutdown();
-  EXPECT_THROW((void)driver.executeBuffers({}), std::logic_error);
+  EXPECT_THROW((void)driver.submit(MessageBuffer{}), std::logic_error);
+  EXPECT_THROW((void)driver.poll(0.0), std::logic_error);
 }
 
 TEST(MWDriver, RecvTimeoutThrowsWithTasksOutstanding) {
-  // No worker ever answers: the dispatch succeeds but the receive loop's
-  // backstop must fire instead of blocking forever.
+  // No worker ever answers: the dispatch succeeds, and a poll willing to
+  // wait far longer than the receive timeout must still give up after one
+  // silent window instead of blocking.
   CommWorld comm(2);
   MWDriver driver(comm);
   driver.setRecvTimeout(0.05);
-  SquareTask task(3);
-  std::vector<MWTask*> ptrs = {&task};
-  EXPECT_THROW(driver.executeTasks(ptrs), std::runtime_error);
+  MessageBuffer b;
+  b.pack(std::int64_t{3});
+  (void)driver.submit(std::move(b));
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)driver.poll(30.0), std::runtime_error);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(), 5.0);
 }
 
 TEST(MWDriver, WorkerLostRequeuesItsTaskOntoSurvivors) {
@@ -166,15 +144,7 @@ TEST(MWDriver, WorkerLostRequeuesItsTaskOntoSurvivors) {
 
   MWDriver driver(comm);
   driver.setRecvTimeout(5.0);
-  std::vector<SquareTask> tasks;
-  for (std::int64_t i = 1; i <= 3; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
-
-  for (std::int64_t i = 1; i <= 3; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i - 1)].result_, i * i);
-  }
+  EXPECT_EQ(submitAndDrain(driver, integers(1, 3)), squares(integers(1, 3)));
   EXPECT_EQ(driver.workersLost(), 1u);
   EXPECT_GE(driver.tasksRequeued(), 1u);
   EXPECT_EQ(driver.liveWorkerCount(), 1);
@@ -187,9 +157,7 @@ TEST(MWDriver, ThrowsWhenEveryWorkerIsLost) {
   comm.send(1, 0, sfopt::net::kTagWorkerLost, {});
   MWDriver driver(comm);
   driver.setRecvTimeout(5.0);
-  SquareTask task(3);
-  std::vector<MWTask*> ptrs = {&task};
-  EXPECT_THROW(driver.executeTasks(ptrs), std::runtime_error);
+  EXPECT_THROW((void)submitAndDrain(driver, {3}), std::runtime_error);
 }
 
 /// Reports kTagError on its first task (MWWorker turns the std::exception
@@ -204,10 +172,8 @@ class FailOnceWorker final : public MWWorker {
       failed_ = true;
       throw std::runtime_error("transient failure");
     }
-    SquareTask t;
-    t.unpackInput(in);
-    t.result_ = t.value_ * t.value_;
-    t.packResult(out);
+    const std::int64_t v = in.unpackInt64();
+    out.pack(v * v);
   }
 
  private:
@@ -349,55 +315,12 @@ TEST(MWDriver, AsyncDrainTimesOutWhenNobodyAnswers) {
   EXPECT_THROW((void)driver.drain(), std::runtime_error);
 }
 
-TEST(MWDriver, BlockingBatchLeavesAsyncTasksToDrain) {
-  // A blocking batch waits for its own ids only: completions of tasks
-  // submitted before it stay queued for drain() instead of being
-  // discarded as stale by the batch's receive loop.
-  CommWorld comm(3);
-  Pool pool(comm, 2);
-  MWDriver driver(comm);
-  driver.setRecvTimeout(2.0);
-  std::map<std::uint64_t, std::int64_t> want;
-  for (std::int64_t i = 0; i < 3; ++i) {
-    MessageBuffer b;
-    b.pack(i + 20);
-    want[driver.submit(std::move(b))] = (i + 20) * (i + 20);
-  }
-  std::vector<MessageBuffer> inputs;
-  for (std::int64_t i = 0; i < 5; ++i) {
-    MessageBuffer b;
-    b.pack(i);
-    inputs.push_back(std::move(b));
-  }
-  auto results = driver.executeBuffers(std::move(inputs));
-  ASSERT_EQ(results.size(), 5u);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].unpackInt64(), i * i);
-  }
-  std::vector<MWDriver::AsyncCompletion> done;
-  EXPECT_NO_THROW(done = driver.drain());
-  // Stop the workers before asserting, so a failure cannot hang the pool.
-  driver.shutdown();
-  ASSERT_EQ(done.size(), 3u);
-  for (auto& c : done) {
-    ASSERT_TRUE(want.contains(c.id));
-    EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
-  }
-  EXPECT_EQ(driver.outstanding(), 0u);
-  EXPECT_EQ(driver.tasksCompleted(), 8u);
-  EXPECT_EQ(driver.staleResultsDiscarded(), 0u);
-}
-
 TEST(MWDriver, WorkersCountTheirTasks) {
   CommWorld comm(3);
   Pool pool(comm, 2);
   {
     MWDriver driver(comm);
-    std::vector<SquareTask> tasks;
-    for (std::int64_t i = 0; i < 10; ++i) tasks.emplace_back(i);
-    std::vector<MWTask*> ptrs;
-    for (auto& t : tasks) ptrs.push_back(&t);
-    driver.executeTasks(ptrs);
+    (void)submitAndDrain(driver, integers(0, 10));
     driver.shutdown();
   }
   // Sum over workers equals the batch size (load split is dynamic).
@@ -445,15 +368,10 @@ TEST(MWDriver, DuplicateCompletionsForFoldedTasksAreDiscardedAndCounted) {
     comm.send(1, 0, kTagResult, std::move(res2));
   });
 
-  std::vector<MessageBuffer> inputs(2);
-  inputs[0].pack(std::int64_t{5});
-  inputs[1].pack(std::int64_t{6});
-  auto results = driver.executeBuffers(std::move(inputs));
+  const auto got = submitAndDrain(driver, {5, 6});
   script.join();
 
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].unpackInt64(), 25);
-  EXPECT_EQ(results[1].unpackInt64(), 36);
+  EXPECT_EQ(got, (std::vector<std::int64_t>{25, 36}));
   EXPECT_EQ(driver.staleResultsDiscarded(), 2u);
   EXPECT_EQ(driver.tasksRequeued(), 0u) << "a stale error report must not requeue";
   EXPECT_EQ(spine.metrics().counter("mw.stale_results_discarded").value(), 2);

@@ -1,41 +1,34 @@
 // MWDriver task-lifecycle telemetry, including the retry path: a
 // fault-injecting worker fails its first N tasks, and the telemetry must
 // agree with the driver's own requeue accounting while still covering the
-// queue-wait / execute / utilization instruments.
+// queue-wait / execute / idle-fraction instruments.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/eval_scheduler.hpp"
 #include "mw/mw_driver.hpp"
-#include "mw/mw_task.hpp"
 #include "mw/mw_worker.hpp"
+#include "mw/sampling_service.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
+#include "tests/core/test_helpers.hpp"
+#include "tests/mw/driver_test_helpers.hpp"
 
 namespace {
 
 using namespace sfopt::mw;
 namespace telemetry = sfopt::telemetry;
 
-class EchoTask final : public MWTask {
- public:
-  EchoTask() = default;
-  explicit EchoTask(std::int64_t v) : value_(v) {}
-  void packInput(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackInput(MessageBuffer& b) override { value_ = b.unpackInt64(); }
-  void packResult(MessageBuffer& b) const override { b.pack(value_); }
-  void unpackResult(MessageBuffer& b) override { result_ = b.unpackInt64(); }
-  std::int64_t value_ = 0;
-  std::int64_t result_ = -1;
-};
-
-/// Fails the first `failures` tasks it sees, then behaves.
+/// Echoes its int64 input.  Fails the first `failures` tasks it sees,
+/// then behaves.
 class FlakyWorker final : public MWWorker {
  public:
   FlakyWorker(CommWorld& comm, Rank rank, int failures)
@@ -43,16 +36,44 @@ class FlakyWorker final : public MWWorker {
 
  protected:
   void executeTask(MessageBuffer& in, MessageBuffer& out) override {
-    EchoTask t;
-    t.unpackInput(in);
+    const std::int64_t value = in.unpackInt64();
     if (remainingFailures_-- > 0) {
       throw std::runtime_error("injected failure");
     }
-    t.packResult(out);
+    out.pack(value);
   }
 
  private:
   int remainingFailures_;
+};
+
+/// Runs SamplingTasks inline.  Fails the first `failures` tasks it sees,
+/// then behaves.
+class FlakySamplingWorker final : public MWWorker {
+ public:
+  FlakySamplingWorker(CommWorld& comm, Rank rank, int failures,
+                      const sfopt::noise::StochasticObjective& objective)
+      : MWWorker(comm, rank), remainingFailures_(failures), objective_(objective) {}
+
+ protected:
+  void executeTask(MessageBuffer& in, MessageBuffer& out) override {
+    SamplingTask task;
+    task.unpackInput(in);
+    if (remainingFailures_-- > 0) {
+      throw std::runtime_error("injected failure");
+    }
+    std::vector<sfopt::stats::Welford> chunks;
+    sfopt::core::sampleChunks(objective_, task.x(), task.vertexId(), task.startIndex(),
+                              task.count(), [&chunks](std::span<const double> chunk) {
+                                chunks.push_back(sfopt::core::accumulateEvalChunk(chunk));
+                              });
+    task.setChunks(std::move(chunks));
+    task.packResult(out);
+  }
+
+ private:
+  int remainingFailures_;
+  const sfopt::noise::StochasticObjective& objective_;
 };
 
 struct Pool {
@@ -89,16 +110,10 @@ TEST(MWTelemetry, RetriesAreCountedAndTaskLifecycleIsObserved) {
   MWDriver driver(comm);
   driver.setTelemetry(&tel);
 
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < kTasks; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  const auto echoes = sfopt::test::submitAndDrain(driver, sfopt::test::integers(0, kTasks));
   driver.shutdown();
 
-  for (std::int64_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(i)].result_, i);
-  }
+  EXPECT_EQ(echoes, sfopt::test::integers(0, kTasks));
 
   // Every injected failure surfaced as a requeue, and the telemetry spine
   // saw exactly what the driver's own accounting saw.
@@ -108,7 +123,6 @@ TEST(MWTelemetry, RetriesAreCountedAndTaskLifecycleIsObserved) {
             static_cast<std::int64_t>(driver.tasksRequeued()));
   EXPECT_EQ(reg.counter("mw.tasks_completed").value(),
             static_cast<std::int64_t>(driver.tasksCompleted()));
-  EXPECT_EQ(reg.counter("mw.batches").value(), 1);
   EXPECT_DOUBLE_EQ(reg.gauge("mw.workers").value(), kWorkers);
 
   // Dispatches = completions + requeues: each failed attempt was itself a
@@ -122,46 +136,37 @@ TEST(MWTelemetry, RetriesAreCountedAndTaskLifecycleIsObserved) {
                                 telemetry::Histogram::exponentialBounds(1e-6, 10.0, 7));
   EXPECT_EQ(execute.count(), kTasks);
   EXPECT_GE(execute.sum(), 0.0);
-
-  // One utilization observation per worker per batch, each in [0, 1]-ish
-  // (busy time cannot exceed batch wall time).
-  auto& util = reg.histogram("mw.worker.utilization",
-                             {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
-  EXPECT_EQ(util.count(), kWorkers);
-  EXPECT_GE(util.sum(), 0.0);
-  EXPECT_LE(util.sum(), static_cast<double>(kWorkers) + 1e-9);
-
-  // The batch span is emitted once with the task/worker shape attached.
-  std::int64_t batchSpans = 0;
-  for (const auto& e : sink.events) {
-    if (e.type == "span" && e.name == "mw.batch") {
-      ++batchSpans;
-      EXPECT_EQ(e.num("tasks"), static_cast<double>(kTasks));
-      EXPECT_EQ(e.num("workers"), static_cast<double>(kWorkers));
-      EXPECT_GE(e.duration, 0.0);
-    }
-  }
-  EXPECT_EQ(batchSpans, 1);
 }
 
 TEST(MWTelemetry, BlockingBatchFoldsEachTaskOnceAndSamplesIdleFraction) {
-  // A blocking batch ends each task's span tree with exactly one root-level
-  // shard.folded marker under the task's trace id, and samples the fleet's
-  // idle fraction at every completion as the non-blocking path does.
+  // A blocking scheduler batch over the MW backend ends each task's span
+  // tree with exactly one root-level shard.folded marker under the task's
+  // trace id — a requeued task included — and the driver samples the
+  // fleet's idle fraction at every completion.
   constexpr std::int64_t kTasks = 6;
   CaptureSink sink;
   telemetry::Telemetry tel(sink);
+  const auto objective = sfopt::test::noisySphere(2, 1.0);
   CommWorld comm(3);
-  Pool pool(comm, 2, 1);
+  FlakySamplingWorker w1(comm, 1, 1, objective);
+  FlakySamplingWorker w2(comm, 2, 1, objective);
+  std::thread t1([&w1] { w1.run(); });
+  std::thread t2([&w2] { w2.run(); });
   MWDriver driver(comm);
   driver.setTelemetry(&tel);
+  MWSamplingBackend backend(driver);
+  sfopt::core::EvalScheduler scheduler(backend, {.telemetry = &tel});
 
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < kTasks; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  const std::vector<double> x{0.5, -0.5};
+  std::vector<sfopt::core::SamplingBackend::BatchRequest> batch;
+  for (std::int64_t v = 0; v < kTasks; ++v) {
+    batch.push_back({x, static_cast<std::uint64_t>(v), 0, 16});
+  }
+  const auto results = scheduler.evaluate(batch);
   driver.shutdown();
+  t1.join();
+  t2.join();
+  for (const auto& r : results) EXPECT_EQ(r.count(), 16);
 
   std::set<std::uint64_t> roots;
   std::set<std::uint64_t> folded;
@@ -191,11 +196,7 @@ TEST(MWTelemetry, CleanRunRecordsNoRequeues) {
   MWDriver driver(comm);
   driver.setTelemetry(&tel);
 
-  std::vector<EchoTask> tasks;
-  for (std::int64_t i = 0; i < 8; ++i) tasks.emplace_back(i);
-  std::vector<MWTask*> ptrs;
-  for (auto& t : tasks) ptrs.push_back(&t);
-  driver.executeTasks(ptrs);
+  (void)sfopt::test::submitAndDrain(driver, sfopt::test::integers(0, 8));
   driver.shutdown();
 
   EXPECT_EQ(tel.metrics().counter("mw.tasks_requeued").value(), 0);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
 
+#include "mw/comm.hpp"
 #include "mw/processor_allocation.hpp"
 #include "tests/core/test_helpers.hpp"
 
@@ -124,6 +127,29 @@ TEST(ParallelRunner, CommunicationScalesWithWork) {
   const auto a = runSimplexOverMW(obj, start, small, MWRunConfig{.workers = 2});
   const auto b = runSimplexOverMW(obj, start, large, MWRunConfig{.workers = 2});
   EXPECT_GT(b.messagesSent, a.messagesSent);
+}
+
+/// Run MN over an in-process world whose one worker rank nobody serves and
+/// return the seconds until the master gives up on the silent fleet.
+double secondsUntilSilentFleetThrows(std::int64_t shardMinSamples) {
+  auto obj = test::noisySphere(2, 1.0);
+  const auto start = test::simpleStart(2);
+  core::MaxNoiseOptions opts;
+  opts.common.sampling.shardMinSamples = shardMinSamples;
+  mw::CommWorld comm(2);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)mw::runSimplexOverTransport(obj, start, opts, comm,
+                                                 MWRunConfig{.recvTimeoutSeconds = 0.5}),
+               std::runtime_error);
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(ParallelRunner, RecvTimeoutBoundsASilentFleet) {
+  EXPECT_LT(secondsUntilSilentFleetThrows(0), 5.0);
+}
+
+TEST(ParallelRunner, RecvTimeoutBoundsASilentFleetWhileSharding) {
+  EXPECT_LT(secondsUntilSilentFleetThrows(64), 5.0);
 }
 
 }  // namespace

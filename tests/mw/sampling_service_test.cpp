@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "core/eval_scheduler.hpp"
 #include "tests/core/test_helpers.hpp"
 
 namespace {
@@ -30,14 +31,15 @@ TEST(SamplingTask, ResultRoundTripPreservesMoments) {
   w.add(1.0);
   w.add(2.0);
   w.add(4.0);
-  t.setResult(w);
+  t.setChunks({w});
   MessageBuffer buf;
   t.packResult(buf);
   SamplingTask u;
   u.unpackResult(buf);
-  EXPECT_EQ(u.result().count(), 3);
-  EXPECT_DOUBLE_EQ(u.result().mean(), w.mean());
-  EXPECT_DOUBLE_EQ(u.result().variance(), w.variance());
+  ASSERT_EQ(u.chunks().size(), 1u);
+  EXPECT_EQ(u.chunks()[0].count(), 3);
+  EXPECT_DOUBLE_EQ(u.chunks()[0].mean(), w.mean());
+  EXPECT_DOUBLE_EQ(u.chunks()[0].variance(), w.variance());
 }
 
 struct ServiceFixture {
@@ -65,9 +67,11 @@ TEST(MWSamplingBackend, SingleBatchMatchesInline) {
   auto obj = test::noisySphere(2, 3.0);
   ServiceFixture fx(obj, 3, 2);
   MWSamplingBackend backend(*fx.driver);
+  core::EvalScheduler scheduler(backend, {});
 
   const std::vector<double> x{2.0, -1.0};
-  const auto got = backend.sampleBatch({x, 21, 0, 64});
+  const core::SamplingBackend::BatchRequest req{x, 21, 0, 64};
+  const auto got = scheduler.evaluate({&req, 1}).front();
 
   stats::Welford ref;
   for (std::uint64_t i = 0; i < 64; ++i) ref.add(obj.sample(x, {21, i}));
@@ -80,6 +84,7 @@ TEST(MWSamplingBackend, ManyBatchesInOrder) {
   auto obj = test::noisySphere(2, 1.0);
   ServiceFixture fx(obj, 4, 1);
   MWSamplingBackend backend(*fx.driver);
+  core::EvalScheduler scheduler(backend, {});
 
   std::vector<std::vector<double>> points;
   std::vector<core::SamplingBackend::BatchRequest> reqs;
@@ -89,7 +94,7 @@ TEST(MWSamplingBackend, ManyBatchesInOrder) {
   for (std::uint64_t v = 0; v < 10; ++v) {
     reqs.push_back({points[v], v, 0, 16});
   }
-  const auto got = backend.sampleBatches(reqs);
+  const auto got = scheduler.evaluate(reqs);
   ASSERT_EQ(got.size(), 10u);
   for (std::uint64_t v = 0; v < 10; ++v) {
     stats::Welford ref;
@@ -102,10 +107,11 @@ TEST(MWSamplingBackend, ZeroCountBatchesNeverLeaveTheMaster) {
   auto obj = test::noisySphere(2, 1.0);
   ServiceFixture fx(obj, 2, 1);
   MWSamplingBackend backend(*fx.driver);
+  core::EvalScheduler scheduler(backend, {});
   const std::vector<double> x{1.0, 1.0};
   const std::vector<core::SamplingBackend::BatchRequest> reqs = {
       {x, 1, 0, 0}, {x, 2, 0, 16}, {x, 3, 0, 0}, {x, 4, 8, 16}};
-  const auto got = backend.sampleBatches(reqs);
+  const auto got = scheduler.evaluate(reqs);
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got[0].count(), 0);
   EXPECT_EQ(got[2].count(), 0);
@@ -128,28 +134,27 @@ TEST(MWSamplingBackend, AllZeroCountBatchesSkipDispatchEntirely) {
   auto obj = test::noisySphere(2, 1.0);
   ServiceFixture fx(obj, 2, 1);
   MWSamplingBackend backend(*fx.driver);
+  core::EvalScheduler scheduler(backend, {});
   const std::vector<double> x{0.0, 0.0};
   const std::vector<core::SamplingBackend::BatchRequest> reqs = {{x, 1, 0, 0}, {x, 2, 4, 0}};
-  const auto got = backend.sampleBatches(reqs);
+  const auto got = scheduler.evaluate(reqs);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].count(), 0);
   EXPECT_EQ(got[1].count(), 0);
   EXPECT_EQ(fx.driver->tasksCompleted(), 0u);
 }
 
-TEST(MWSamplingBackend, AsyncAdapterDeliversCanonicalChunks) {
+TEST(MWSamplingBackend, SubmitPollDeliversCanonicalChunks) {
   auto obj = test::noisySphere(2, 2.0);
   ServiceFixture fx(obj, 2, 2);
   MWSamplingBackend backend(*fx.driver);
-  core::AsyncSamplingBackend* async = backend.async();
-  ASSERT_NE(async, nullptr);
-  EXPECT_GE(async->parallelism(), 1);
+  EXPECT_GE(backend.parallelism(), 1);
 
   const std::vector<double> x{0.5, -0.5};
-  const std::uint64_t ticket = async->submit({x, 9, 0, 150});
-  std::vector<core::AsyncSamplingBackend::Completion> got;
+  const std::uint64_t ticket = backend.submit({x, 9, 0, 150});
+  std::vector<core::SamplingBackend::Completion> got;
   while (got.empty()) {
-    auto ready = async->poll(5.0);
+    auto ready = backend.poll(5.0);
     got.insert(got.end(), ready.begin(), ready.end());
   }
   ASSERT_EQ(got.size(), 1u);
@@ -176,10 +181,11 @@ TEST(MWSamplingBackend, WorkersShareTheLoad) {
   auto obj = test::noisySphere(2, 1.0);
   ServiceFixture fx(obj, 3, 1);
   MWSamplingBackend backend(*fx.driver);
+  core::EvalScheduler scheduler(backend, {});
   const std::vector<double> x{0.0, 0.0};
   std::vector<core::SamplingBackend::BatchRequest> reqs;
   for (std::uint64_t v = 0; v < 30; ++v) reqs.push_back({x, v, 0, 4});
-  (void)backend.sampleBatches(reqs);
+  (void)scheduler.evaluate(reqs);
   // Dynamic dispatch should engage more than one worker for 30 tasks.
   int engaged = 0;
   for (const auto& w : fx.workerObjs) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -81,18 +82,16 @@ TEST(DistributedFailure, KilledWorkerTaskIsRequeuedAndBatchCompletes) {
 
   mw::MWDriver driver(master);
   driver.setRecvTimeout(10.0);
-  std::vector<mw::MessageBuffer> inputs;
+  std::map<std::uint64_t, std::int64_t> want;
   for (std::int64_t v = 1; v <= 4; ++v) {
     mw::MessageBuffer b;
     b.pack(v);
-    inputs.push_back(std::move(b));
+    want[driver.submit(std::move(b))] = 2 * v;
   }
-  auto results = driver.executeBuffers(std::move(inputs));
+  auto done = driver.drain();
 
-  ASSERT_EQ(results.size(), 4u);
-  for (std::int64_t v = 1; v <= 4; ++v) {
-    EXPECT_EQ(results[static_cast<std::size_t>(v - 1)].unpackInt64(), 2 * v);
-  }
+  ASSERT_EQ(done.size(), 4u);
+  for (auto& c : done) EXPECT_EQ(c.payload.unpackInt64(), want.at(c.id));
   EXPECT_EQ(driver.tasksCompleted(), 4u);
   EXPECT_EQ(driver.workersLost(), 1u);
   EXPECT_GE(driver.tasksRequeued(), 1u);
@@ -146,14 +145,19 @@ TEST(DistributedFailure, KilledWorkerLeavesCompleteSpanTree) {
   mw::MWDriver driver(master);
   driver.setTelemetry(&masterSpine);
   driver.setRecvTimeout(10.0);
-  std::vector<mw::MessageBuffer> inputs;
   for (std::int64_t v = 1; v <= 4; ++v) {
     mw::MessageBuffer b;
     b.pack(v);
-    inputs.push_back(std::move(b));
+    (void)driver.submit(std::move(b));
   }
-  auto results = driver.executeBuffers(std::move(inputs));
-  ASSERT_EQ(results.size(), 4u);
+  const auto done = driver.drain();
+  ASSERT_EQ(done.size(), 4u);
+  // The consumer of a completion ends its span tree, as the EvalScheduler
+  // and the service do.
+  for (const auto& c : done) {
+    masterSpine.tracer().emitComplete("shard.folded", masterSpine.tracer().now(), 0, {}, {},
+                                      c.id);
+  }
   EXPECT_GE(driver.tasksRequeued(), 1u);
   driver.shutdown();
   for (auto& t : threads) t.join();

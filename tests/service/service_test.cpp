@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cmath>
 #include <ctime>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -17,6 +19,9 @@
 #include "service/service_client.hpp"
 #include "service/service_worker.hpp"
 #include "service/ticket_exchange.hpp"
+#include "telemetry/sink.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace_analysis.hpp"
 
 namespace {
 
@@ -371,6 +376,42 @@ TEST(Service, JobRoundsAreNotPacedByThePollInterval) {
   EXPECT_LT(seconds, 0.25);
 }
 
+TEST(Service, DaemonCaptureEndsEveryShardTreeOnce) {
+  // A daemon capture must pass `sfopt trace --verify`: every shard tree
+  // ends exactly once, folded or discarded by its job's scheduler or,
+  // once the job has closed, discarded by the daemon.  One plain job and
+  // one that shards and speculates, whose last prefetch may outlive it.
+  std::ostringstream jsonl;
+  telemetry::JsonlSink sink(jsonl);
+  telemetry::Telemetry spine(sink);
+  {
+    Harness h(2);
+    h.opts.telemetry = &spine;
+    h.start();
+    service::JobSpec piped = makeSpec("sphere", 3, "mn", 99, 25);
+    piped.shardMinSamples = 64;
+    piped.speculate = true;
+    service::ServiceClient plainClient("127.0.0.1", h.comm.port());
+    service::ServiceClient pipedClient("127.0.0.1", h.comm.port());
+    ASSERT_EQ(plainClient.submit(makeSpec("rosenbrock", 4, "pc", 2026, 25)).state,
+              service::JobState::Queued);
+    ASSERT_EQ(pipedClient.submit(piped).state, service::JobState::Queued);
+    EXPECT_EQ(plainClient.waitResult(60.0).state, service::JobState::Done);
+    EXPECT_EQ(pipedClient.waitResult(60.0).state, service::JobState::Done);
+  }
+  sink.flush();
+
+  std::vector<telemetry::Event> events;
+  std::istringstream in(jsonl.str());
+  for (std::string line; std::getline(in, line);) {
+    if (auto e = telemetry::parseJsonLine(line)) events.push_back(std::move(*e));
+  }
+  const telemetry::TraceReport report = telemetry::analyzeTraceEvents(events);
+  for (const std::string& p : report.problems) ADD_FAILURE() << p;
+  EXPECT_GT(report.traces, 0u);
+  EXPECT_GT(report.folded, 0u);
+}
+
 TEST(Service, IdleDaemonDoesNotSpin) {
   // Between events the daemon thread sleeps in the transport poll; a wake
   // pipe left undrained would turn that sleep into a busy loop.
@@ -523,6 +564,22 @@ TEST(TicketExchange, DeliveryToAClosedJobIsDroppedSilently) {
   const std::uint64_t ticket = ex.submit(1, mw::MessageBuffer{});
   ex.closeJob(1);
   EXPECT_NO_THROW(ex.deliver(1, ticket, {}));
+}
+
+TEST(TicketExchange, CloseJobHandsBackCompletionsItsJobNeverPolled) {
+  // A completion delivered after the job's last poll (here a cancelled
+  // job's; also a prefetch still in flight when a job finishes) comes back
+  // out of closeJob, so the daemon can still end its span tree.
+  service::TicketExchange ex;
+  ex.openJob(1);
+  const std::uint64_t ticket = ex.submit(1, mw::MessageBuffer{});
+  ex.abort(1, "cancelled by client", true);
+  ASSERT_TRUE(ex.deliver(1, ticket, {stats::Welford{}}));
+  EXPECT_THROW((void)ex.poll(1, 0.0), service::JobAborted);
+  const auto unpolled = ex.closeJob(1);
+  ASSERT_EQ(unpolled.size(), 1u);
+  EXPECT_EQ(unpolled[0].ticket, ticket);
+  EXPECT_TRUE(ex.closeJob(1).empty());
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ TEST(ScopedSpan, EndsOnDestruction) {
 TEST(JsonLine, RoundTripsThroughParser) {
   Event e;
   e.type = "span";
-  e.name = "mw.batch";
+  e.name = "shard.lifecycle";
   e.time = 1.25;
   e.duration = 0.5;
   e.id = 3;
@@ -117,7 +117,7 @@ TEST(JsonLine, RoundTripsThroughParser) {
   const auto back = parseJsonLine(line);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->type, "span");
-  EXPECT_EQ(back->name, "mw.batch");
+  EXPECT_EQ(back->name, "shard.lifecycle");
   EXPECT_DOUBLE_EQ(back->time, 1.25);
   EXPECT_DOUBLE_EQ(back->duration, 0.5);
   EXPECT_EQ(back->id, 3u);
@@ -180,7 +180,7 @@ TEST(JsonlSink, WritesOneLinePerEvent) {
   e.type = "metric";
   e.name = "engine.iterations";
   sink.emit(e);
-  e.name = "mw.batches";
+  e.name = "mw.tasks_completed";
   sink.emit(e);
   EXPECT_EQ(sink.eventsWritten(), 2u);
 
