@@ -219,16 +219,21 @@ std::vector<stats::Welford> EvalScheduler::evaluate(
       entry.sequence = nextSequence_++;
       entries_.emplace(key, std::move(entry));
       submitSharded(r, key);
-      ++misses_;
-      if (telMisses_ != nullptr) telMisses_->add(1);
+      if (options_.speculate) {
+        ++misses_;
+        if (telMisses_ != nullptr) telMisses_->add(1);
+      }
     }
     // else: duplicate demand for the same key in this call shares the entry.
     needed.push_back(key);
     live.push_back(i);
   }
-  if (telHitRate_ != nullptr && hits_ + misses_ > 0) {
-    telHitRate_->set(static_cast<double>(hits_) /
-                     static_cast<double>(hits_ + misses_));
+  if (options_.speculate && telHitRate_ != nullptr) {
+    // The spine has one gauge, so it reads the spine-wide counters: every
+    // speculating scheduler that shares it (daemon jobs) counts.
+    const auto hits = static_cast<double>(telHits_->value());
+    const auto misses = static_cast<double>(telMisses_->value());
+    if (hits + misses > 0) telHitRate_->set(hits / (hits + misses));
   }
 
   // Launch the next round's predicted batches before blocking, so workers

@@ -71,8 +71,9 @@ class EvalScheduler {
     /// stall rule).
     double timeoutSeconds = 300.0;
     /// Observability spine (non-owning).  Registers eval.shards_per_batch,
-    /// eval.speculation_hits / _misses and the eval.speculation_hit_rate
-    /// gauge.  nullptr = uninstrumented.
+    /// eval.speculation_hits / _misses (counted only while speculating) and
+    /// the eval.speculation_hit_rate gauge, the rate over those spine-wide
+    /// counters.  nullptr = uninstrumented.
     telemetry::Telemetry* telemetry = nullptr;
   };
 
@@ -94,6 +95,8 @@ class EvalScheduler {
   /// Staged speculative batches (completed or still in flight).
   [[nodiscard]] std::size_t stagedBatches() const noexcept { return staged_.size(); }
 
+  /// Demanded batches found staged / submitted fresh; both stay 0 unless
+  /// speculation is on.
   [[nodiscard]] std::uint64_t speculationHits() const noexcept { return hits_; }
   [[nodiscard]] std::uint64_t speculationMisses() const noexcept { return misses_; }
   /// Speculative batches never submitted because the in-flight cap was hit.

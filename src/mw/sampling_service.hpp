@@ -55,14 +55,14 @@ class SamplingTask {
 };
 
 /// The concrete MWWorker of the optimization service: unpacks a
-/// SamplingTask, runs it through its VertexServer (which fans it out to
-/// Ns clients), and packs the per-chunk moments back.
+/// SamplingTask, runs it through its VertexServer, and packs the
+/// per-chunk moments back.  The receive loop is the server's client 0: it
+/// samples the first chunk range itself, and Ns - 1 helper threads take
+/// the rest, so at Ns = 1 a task never leaves this thread.
 class SamplingWorker final : public MWWorker {
  public:
   SamplingWorker(net::Transport& comm, Rank rank, const noise::StochasticObjective& objective,
                  int clients);
-
-  [[nodiscard]] const VertexServer& server() const noexcept { return server_; }
 
  protected:
   void executeTask(MessageBuffer& in, MessageBuffer& out) override;

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -19,9 +20,15 @@ namespace sfopt::mw {
 /// communicates with the client processes and coordinates the start and
 /// end of each simulation."
 ///
-/// Here clients are persistent threads fed through a small work queue;
-/// a sampling batch is split into Ns contiguous index ranges so results
-/// are independent of scheduling (counter-based RNG keys).
+/// Here a sampling batch is split into Ns contiguous chunk ranges, so
+/// results are independent of scheduling (counter-based RNG keys).  The
+/// thread that calls runBatchChunks — an MW worker's receive loop — is
+/// client 0 and samples the first range itself; clients 1..Ns-1 are
+/// persistent helper threads woken once per batch.  At Ns = 1 the server
+/// owns no thread and a batch is one core::sampleChunks call.
+///
+/// Thread-compatible: one batch at a time.  clientSampleCounts() reads
+/// between batches, on the calling thread.
 class VertexServer {
  public:
   VertexServer(const noise::StochasticObjective& objective, int clients);
@@ -36,38 +43,46 @@ class VertexServer {
   /// 64-sample add-stream no matter how many clients computed the batch —
   /// the master's canonical chunk fold is then bitwise independent of
   /// every deployment knob.  Blocking; safe to call repeatedly.
+  ///
+  /// If the objective throws, this still waits for every client's range
+  /// to finish, then rethrows the exception of the lowest-index client
+  /// that failed; the server stays usable for the next batch.
   [[nodiscard]] std::vector<stats::Welford> runBatchChunks(
       const core::SamplingBackend::BatchRequest& request);
 
-  [[nodiscard]] int clientCount() const noexcept { return static_cast<int>(clients_.size()); }
+  [[nodiscard]] int clientCount() const noexcept {
+    return static_cast<int>(clientSamples_.size());
+  }
 
   /// Total samples computed by each client (diagnostics / load balance).
-  [[nodiscard]] std::vector<std::int64_t> clientSampleCounts() const;
+  [[nodiscard]] std::vector<std::int64_t> clientSampleCounts() const { return clientSamples_; }
 
  private:
-  struct ClientJob {
-    std::vector<double> x;
-    std::uint64_t vertexId = 0;
-    std::uint64_t startIndex = 0;
-    std::int64_t count = 0;
-  };
+  /// Sample client `client`'s range of `request` and append its chunk
+  /// moments to `chunks`.
+  void sampleShare(const core::SamplingBackend::BatchRequest& request, std::size_t client,
+                   std::vector<stats::Welford>& chunks);
 
-  void clientLoop(std::size_t clientIndex);
+  void helperLoop(std::size_t client);
 
   const noise::StochasticObjective& objective_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable jobReady_;
-  std::condition_variable jobDone_;
-  // One job slot per client per batch; generation counter sequences batches.
-  std::vector<ClientJob> jobs_;
-  std::vector<std::vector<stats::Welford>> partialChunks_;
   std::vector<std::int64_t> clientSamples_;
-  std::uint64_t generation_ = 0;
-  int remaining_ = 0;
-  bool stopping_ = false;
 
-  std::vector<std::thread> clients_;
+  // Helper hand-off, used only when Ns > 1.  `batch_` points at the
+  // caller's request, which outlives the batch: runBatchChunks returns
+  // only once every helper is done with it.
+  std::mutex mutex_;
+  std::condition_variable batchReady_;
+  std::condition_variable batchDone_;
+  const core::SamplingBackend::BatchRequest* batch_ = nullptr;
+  std::uint64_t generation_ = 0;
+  std::size_t remaining_ = 0;
+  bool stopping_ = false;
+  // Indexed by client; slot 0 (the caller's) stays empty.
+  std::vector<std::vector<stats::Welford>> partialChunks_;
+  std::vector<std::exception_ptr> errors_;
+
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace sfopt::mw

@@ -16,7 +16,10 @@ namespace sfopt::service {
 /// serves any number of concurrent jobs with no per-job handshake.  A
 /// small LRU cache keeps one VertexServer (and its objective) alive per
 /// recently-seen job; sampling stays bitwise reproducible regardless of
-/// cache hits because the noise RNG is counter-keyed, not stateful.
+/// cache hits because the noise RNG is counter-keyed, not stateful.  The
+/// receive loop samples as the server's client 0, so at the default
+/// Ns = 1 a cache miss costs only a NoisyFunction build: the server starts
+/// helper threads only for Ns > 1.
 class ServiceWorker : public mw::MWWorker {
  public:
   ServiceWorker(net::Transport& comm, mw::Rank rank, int maxCachedJobs = 4);

@@ -359,6 +359,31 @@ TEST(EvalScheduler, RegistersEvalMetrics) {
   EXPECT_DOUBLE_EQ(spine.metrics().gauge("eval.speculation_hit_rate").value(), 0.5);
 }
 
+TEST(EvalScheduler, HitRateGaugeCoversEverySchedulerOnTheSpine) {
+  // A daemon puts every job's scheduler on one spine.  The gauge is the
+  // rate over all speculating schedulers, and a plain one counts nothing.
+  telemetry::NoopSink sink;
+  telemetry::Telemetry spine(sink);
+  FakeAsyncBackend specBackend(4);
+  FakeAsyncBackend plainBackend(4);
+  EvalScheduler speculating(specBackend, {.speculate = true, .telemetry = &spine});
+  EvalScheduler plain(plainBackend, {.telemetry = &spine});
+
+  const SamplingBackend::BatchRequest demand{{}, 1, 0, 64};
+  const SamplingBackend::BatchRequest hint{{}, 2, 0, 64};
+  (void)speculating.evaluate({&demand, 1}, {&hint, 1});  // miss
+  (void)speculating.evaluate({&hint, 1});                // hit
+  for (std::uint64_t v = 10; v < 14; ++v) {
+    const SamplingBackend::BatchRequest r{{}, v, 0, 64};
+    (void)plain.evaluate({&r, 1});
+  }
+
+  EXPECT_EQ(plain.speculationMisses(), 0u);
+  EXPECT_EQ(spine.metrics().counter("eval.speculation_hits").value(), 1);
+  EXPECT_EQ(spine.metrics().counter("eval.speculation_misses").value(), 1);
+  EXPECT_DOUBLE_EQ(spine.metrics().gauge("eval.speculation_hit_rate").value(), 0.5);
+}
+
 TEST(EvalScheduler, RejectsNegativeOptions) {
   FakeAsyncBackend backend(2);
   EXPECT_THROW(EvalScheduler(backend, {.shardMinSamples = -1}), std::invalid_argument);

@@ -7,11 +7,14 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "mw/mw_driver.hpp"
 #include "mw/mw_worker.hpp"
+#include "mw/sampling_service.hpp"
+#include "tests/core/test_helpers.hpp"
 #include "tests/mw/driver_test_helpers.hpp"
 
 namespace {
@@ -122,6 +125,38 @@ TEST(FailureInjection, HealthyTasksUnaffectedByOneBadApple) {
   }
   driver.shutdown();
   for (auto& t : threads) t.join();
+}
+
+TEST(FailureInjection, ThrowingObjectiveIsReportedNotFatal) {
+  // SamplingWorkers whose objective throws for vertex 7: each attempt
+  // comes back as kTagError (one requeue per attempt) until the retry
+  // budget runs out, and every worker stays up to take the shutdown.
+  // With Ns = 2 the exception is thrown on the receiving thread (client
+  // 0) and on the helper alike.
+  auto inner = sfopt::test::noisySphere(2, 1.0);
+  sfopt::test::PoisonedObjective obj(inner, 7, {0, 64});
+  CommWorld comm(3);
+  Pool<SamplingWorker, const sfopt::noise::StochasticObjective&, int> pool(comm, 2, obj, 2);
+  MWDriver driver(comm);
+  driver.setMaxRetries(2);
+
+  const std::vector<double> x{1.0, -1.0};
+  MessageBuffer buf;
+  SamplingTask(sfopt::core::SamplingBackend::BatchRequest{x, 7, 0, 128}).packInput(buf);
+  (void)driver.submit(std::move(buf));
+  try {
+    (void)driver.drain();
+    ADD_FAILURE() << "expected the task to fail";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("task failed after 2 retries: poisoned sample 0"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(driver.tasksRequeued(), 3u);
+  // Each worker counts a failure before it reports it, so all three are in.
+  EXPECT_EQ(pool.objs[0]->tasksFailed() + pool.objs[1]->tasksFailed(), 3u);
+  EXPECT_EQ(pool.objs[0]->tasksExecuted() + pool.objs[1]->tasksExecuted(), 0u);
+  driver.shutdown();
 }
 
 }  // namespace
