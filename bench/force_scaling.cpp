@@ -1,12 +1,11 @@
 // Scaling study of the MD hot path: neighbor-list construction
 // (brute-force O(N^2) scan vs linked-cell O(N)) and the nonbonded force
-// evaluation (serial vs thread-parallel kernel, and per SIMD ISA), swept
-// over system size and thread count.  Every stochastic objective sample
-// runs this kernel a few hundred times, so per-eval wall time here is the
-// unit cost of the whole optimization stack.
+// evaluation per SIMD ISA, swept over system size.  Every stochastic
+// objective sample runs this kernel a few hundred times, so per-eval wall
+// time here is the unit cost of the whole optimization stack.
 //
-// The ISA sweep times the same serial pair loop under each dispatch level
-// the host supports; scalar is the legacy loop, the vector levels run the
+// The ISA sweep times the same pair loop under each dispatch level the
+// host supports; scalar is the legacy loop, the vector levels run the
 // blocked simd::forcePairBlock kernel with its pinned lane-reduction
 // order (results stay bitwise reproducible within an ISA).
 //
@@ -53,7 +52,7 @@ void runSystemSize(int molecules, int reps, bench::BenchReport& report) {
   report.add(tag + ".rebuild.brute.seconds", bruteSec, "s");
   report.add(tag + ".rebuild.auto.seconds", autoSec, "s");
 
-  // --- Force evaluation per SIMD ISA (serial pair loop). ---
+  // --- Force evaluation per SIMD ISA. ---
   double scalarSec = 0.0;
   std::printf("N=%3d  force:  ", molecules);
   for (const simd::Isa isa : simd::supportedIsas()) {
@@ -71,20 +70,6 @@ void runSystemSize(int molecules, int reps, bench::BenchReport& report) {
   const double pairsPerSec =
       static_cast<double>(autoList.pairs().size()) / scalarSec;
   std::printf("  [%.1f Mpairs/s scalar]\n", pairsPerSec / 1e6);
-
-  // --- Thread-parallel kernel at the detected ISA. ---
-  const double serialSec =
-      bench::medianSeconds(reps, [&] { (void)computeForces(sys, autoList); });
-  std::printf("N=%3d  threads: serial %8.1f us", molecules, serialSec * 1e6);
-  for (int threads : {2, 4}) {
-    ParallelForceKernel kernel(threads);
-    const double parSec =
-        bench::medianSeconds(reps, [&] { (void)kernel.compute(sys, autoList); });
-    std::printf(" | %dT %8.1f us (x%4.2f)", threads, parSec * 1e6,
-                serialSec / parSec);
-    report.add(tag + ".parallel." + std::to_string(threads) + "T.seconds", parSec, "s");
-  }
-  std::printf("\n");
 }
 
 }  // namespace

@@ -194,19 +194,17 @@ void BM_MdNeighborRebuild(benchmark::State& state) {
 BENCHMARK(BM_MdNeighborRebuild)->Args({64, 0})->Args({216, 0})->Args({216, 1})->Args({512, 0})->Args({512, 1});
 
 void BM_MdForceNeighborList(benchmark::State& state) {
-  // range(0): molecules; range(1): force threads (1 = serial path);
-  // range(2): 1 = per-evaluation telemetry attached (no-op sink), i.e. the
-  // exact instrumentation VelocityVerlet::evaluateForces performs.  The
-  // telemetry=1 twins guard the observability overhead claim: with the sink
-  // disabled, the cost is a few relaxed atomic adds per force evaluation
-  // and must stay under 2% of the uninstrumented kernel time.
+  // range(0): molecules; range(1): 1 = per-evaluation telemetry attached
+  // (no-op sink), i.e. the exact instrumentation
+  // VelocityVerlet::evaluateForces performs.  The telemetry=1 twins guard
+  // the observability overhead claim: with the sink disabled, the cost is a
+  // few relaxed atomic adds per force evaluation and must stay under 2% of
+  // the uninstrumented kernel time.
   auto sys = md::buildWaterLattice(static_cast<int>(state.range(0)), 0.997, 298.0,
                                    md::tip4pPublished(), 4.0, 3);
   md::NeighborList list(4.0, 1.0);
   list.rebuild(sys);
-  const int threads = static_cast<int>(state.range(1));
-  md::ParallelForceKernel kernel(threads);
-  const bool instrumented = state.range(2) == 1;
+  const bool instrumented = state.range(1) == 1;
   telemetry::Telemetry tel;  // no-op sink, metrics only
   telemetry::Counter* evals = nullptr;
   telemetry::Counter* pairsCounter = nullptr;
@@ -219,7 +217,7 @@ void BM_MdForceNeighborList(benchmark::State& state) {
   }
   std::int64_t pairs = 0;
   for (auto _ : state) {
-    const auto f = kernel.compute(sys, list);
+    const auto f = md::computeForces(sys, list);
     if (instrumented) {
       evals->add(1);
       pairsCounter->add(f.pairsEvaluated);
@@ -229,19 +227,14 @@ void BM_MdForceNeighborList(benchmark::State& state) {
     benchmark::DoNotOptimize(f.potential);
   }
   state.counters["pairs_per_eval"] = static_cast<double>(pairs);
-  state.counters["threads"] = threads;
   state.counters["telemetry"] = instrumented ? 1 : 0;
   state.SetItemsProcessed(state.iterations() * pairs);
 }
 BENCHMARK(BM_MdForceNeighborList)
-    ->Args({216, 1, 0})
-    ->Args({216, 1, 1})
-    ->Args({216, 4, 0})
-    ->Args({512, 1, 0})
-    ->Args({512, 1, 1})
-    ->Args({512, 2, 0})
-    ->Args({512, 4, 0})
-    ->Args({512, 4, 1});
+    ->Args({216, 0})
+    ->Args({216, 1})
+    ->Args({512, 0})
+    ->Args({512, 1});
 
 void BM_MdStep(benchmark::State& state) {
   auto sys = md::buildWaterLattice(27, 0.997, 298.0, md::tip4pPublished(), 4.0, 3);

@@ -4,57 +4,18 @@
 // travels the message-passing wire.  The result is identical to a
 // sequential run (noise draws are keyed, not ordered), which this example
 // verifies at the end.
-//
-// The MW framework exists because one objective sample is expensive; the
-// per-sample axis of that scale-up is the MD force kernel, so the example
-// first times one MD-water objective sample serial vs thread-parallel
-// (`mw_scaleup [force-threads]`, default 2) before the across-sample run.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/algorithms.hpp"
 #include "core/initial_simplex.hpp"
 #include "mw/parallel_runner.hpp"
 #include "noise/noisy_function.hpp"
 #include "testfunctions/functions.hpp"
-#include "water/md_objective.hpp"
 
-namespace {
-
-/// Time one MD-water objective sample at the given force-thread count.
-double sampleSeconds(int forceThreads) {
-  using namespace sfopt;
-  water::MdWaterObjective::Options opts;
-  opts.simulation.molecules = 64;
-  opts.simulation.cutoff = 4.0;
-  opts.simulation.equilibrationSteps = 100;
-  opts.simulation.productionSteps = 200;
-  opts.simulation.forceThreads = forceThreads;
-  const water::MdWaterObjective objective(opts);
-  const std::vector<double> tip4p{0.1550, 3.1536, 0.5200};
-  const auto t0 = std::chrono::steady_clock::now();
-  (void)objective.sample(tip4p, {1, 0});
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
   using namespace sfopt;
   constexpr std::size_t kDim = 20;
-
-  // Per-sample scale-up: the MD evaluation behind every water-objective
-  // sample, serial vs thread-parallel force kernel.
-  const int forceThreads = argc > 1 ? std::atoi(argv[1]) : 2;
-  if (forceThreads >= 1) {
-    const double serial = sampleSeconds(1);
-    const double parallel = forceThreads > 1 ? sampleSeconds(forceThreads) : serial;
-    std::printf("per-sample:  one MD-water sample %.3f s serial, %.3f s at %d force "
-                "threads (x%.2f)\n",
-                serial, parallel, forceThreads, serial / parallel);
-  }
 
   noise::NoisyFunction::Options noiseOpts;
   noiseOpts.sigma0 = 1.0;

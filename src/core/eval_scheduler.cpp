@@ -1,7 +1,7 @@
 #include "core/eval_scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -135,24 +135,13 @@ void EvalScheduler::collect(const std::vector<BatchKey>& needed) {
     }
     return true;
   };
-  // The deadline bounds *silence*, not total runtime: every completion
-  // pushes it out, so a long evaluation making steady progress never
-  // trips it.
-  const auto window = std::chrono::duration<double>(options_.timeoutSeconds);
-  auto deadline = std::chrono::steady_clock::now() + window;
+  // Silence is the backend's to judge (the MW driver's receive timeout,
+  // the daemon's stall rule): it throws out of poll(), so the wait here
+  // has no bound of its own.
   while (!allDone()) {
-    const double remaining = std::chrono::duration<double>(
-                                 deadline - std::chrono::steady_clock::now())
-                                 .count();
-    if (remaining <= 0.0) {
-      throw std::runtime_error(
-          "EvalScheduler: backend silent for " + std::to_string(options_.timeoutSeconds) +
-          "s with results outstanding");
+    for (const auto& c : backend_.poll(std::numeric_limits<double>::infinity())) {
+      routeCompletion(c);
     }
-    const auto completions = backend_.poll(remaining);
-    if (completions.empty()) continue;  // deadline check handles the timeout
-    for (const auto& c : completions) routeCompletion(c);
-    deadline = std::chrono::steady_clock::now() + window;
   }
 }
 

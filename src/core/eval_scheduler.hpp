@@ -65,11 +65,6 @@ class EvalScheduler {
     /// Cap on staged (completed or in-flight) speculative batches;
     /// 0 = same resolved value as maxOutstandingShards.
     int maxStagedEntries = 0;
-    /// Give up when the backend stays silent this long with results
-    /// outstanding.  SamplingContext sets infinity: its backends judge
-    /// silence themselves (the MW driver's receive timeout, the daemon's
-    /// stall rule).
-    double timeoutSeconds = 300.0;
     /// Observability spine (non-owning).  Registers eval.shards_per_batch,
     /// eval.speculation_hits / _misses (counted only while speculating) and
     /// the eval.speculation_hit_rate gauge, the rate over those spine-wide
@@ -84,7 +79,8 @@ class EvalScheduler {
   /// accumulator without touching the backend.  `hints` describes the
   /// batches the caller expects to need next; when speculation is on they
   /// are submitted before this call blocks, so workers stay busy across
-  /// the caller's decide step.
+  /// the caller's decide step.  The wait has no bound of its own: a
+  /// backend judges silence itself and throws out of poll().
   [[nodiscard]] std::vector<stats::Welford> evaluate(
       std::span<const SamplingBackend::BatchRequest> requests,
       std::span<const SamplingBackend::BatchRequest> hints = {});

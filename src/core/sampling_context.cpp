@@ -1,7 +1,6 @@
 #include "core/sampling_context.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -32,13 +31,10 @@ SamplingContext::SamplingContext(const noise::StochasticObjective& objective, Op
   }
   // Every backend refine goes through the scheduler; with sharding and
   // speculation off it submits one ticket per batch and waits for them.
-  // Silence is the backend's to judge (the MW driver's receive timeout,
-  // the daemon's stall rule), so the scheduler waits without a bound.
   if (options_.backend != nullptr) {
     EvalScheduler::Options sched;
     sched.shardMinSamples = options_.shardMinSamples;
     sched.speculate = options_.speculate;
-    sched.timeoutSeconds = std::numeric_limits<double>::infinity();
     sched.telemetry = options_.telemetry;
     scheduler_ = std::make_unique<EvalScheduler>(*options_.backend, sched);
   }

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <numbers>
 
-#include "md/thread_pool.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/force_kernel.hpp"
 
@@ -22,7 +21,6 @@ MdPerfCounters& MdPerfCounters::operator+=(const MdPerfCounters& o) noexcept {
   cellListUsed = o.cellListUsed;
   cellsPerDim = o.cellsPerDim;
   avgCellOccupancy = o.avgCellOccupancy;
-  forceThreads = o.forceThreads;
   return *this;
 }
 
@@ -34,9 +32,8 @@ double secondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Accumulate a pairwise force f on sites i (+f) and j (-f) and its
-/// virial, into an arbitrary force buffer (sys.forces for the serial
-/// path, a thread-private block buffer for the parallel one).
+/// Accumulate a pairwise force f on sites i (+f) and j (-f) into
+/// sys.forces, and its virial.
 struct PairAccumulator {
   std::vector<Vec3>& forces;
   double virial = 0.0;
@@ -50,7 +47,7 @@ struct PairAccumulator {
 
 /// Shared per-pair nonbonded kernel and the intramolecular terms; the
 /// computeForces variants differ only in how nonbonded pairs are
-/// enumerated and into which buffers they accumulate.
+/// enumerated.
 struct NonbondedKernel {
   const WaterSystem& sys;
   PairAccumulator& acc;
@@ -93,11 +90,10 @@ struct NonbondedKernel {
   }
 };
 
-/// Intramolecular bonds and angle; identical in every force path (always
-/// evaluated serially — it is O(molecules) and cheap).
-void intramolecularForces(const WaterSystem& sys, std::vector<Vec3>& forces,
-                          PairAccumulator& acc, ForceResult& out) {
+/// Intramolecular bonds and angle; identical in every force path.
+void intramolecularForces(const WaterSystem& sys, PairAccumulator& acc, ForceResult& out) {
   const IntramolecularConstants& c = sys.intramolecular();
+  std::vector<Vec3>& forces = acc.forces;
   for (int m = 0; m < sys.molecules(); ++m) {
     const int o = m * kSitesPerMolecule;
     const int h1 = o + 1;
@@ -137,9 +133,9 @@ void intramolecularForces(const WaterSystem& sys, std::vector<Vec3>& forces,
 }
 
 /// Structure-of-arrays snapshot of the system plus the precomputed model
-/// constants, built once per evaluation and shared read-only by every
-/// block of the dispatched SIMD force path.  The reciprocal constants are
-/// the exact quotients the scalar kernel computes per pair.
+/// constants, built once per evaluation of the dispatched SIMD force
+/// path.  The reciprocal constants are the exact quotients the scalar
+/// kernel computes per pair.
 struct SimdForceContext {
   simd::ForceConstants constants;
   std::vector<double> x, y, z, q, oxy;
@@ -301,7 +297,7 @@ ForceResult computeForces(WaterSystem& sys) {
   // All intermolecular i<j pairs: the full triangle minus the 3 pairs
   // internal to each of the molecules.
   out.pairsEvaluated = static_cast<std::int64_t>(n) * (n - 1) / 2 - 3LL * sys.molecules();
-  intramolecularForces(sys, sys.forces, acc, out);
+  intramolecularForces(sys, acc, out);
   out.potential = out.lennardJones + out.coulomb + out.intramolecular;
   out.virial = acc.virial;
   out.evalSeconds = secondsSince(start);
@@ -327,75 +323,7 @@ ForceResult computeForces(WaterSystem& sys, const NeighborList& list) {
     stream.finish();
   }
   out.pairsEvaluated = static_cast<std::int64_t>(list.pairs().size());
-  intramolecularForces(sys, sys.forces, acc, out);
-  out.potential = out.lennardJones + out.coulomb + out.intramolecular;
-  out.virial = acc.virial;
-  out.evalSeconds = secondsSince(start);
-  return out;
-}
-
-ParallelForceKernel::ParallelForceKernel(int threads)
-    : pool_(std::make_unique<ThreadPool>(threads)) {}
-
-ParallelForceKernel::~ParallelForceKernel() = default;
-
-int ParallelForceKernel::threads() const noexcept { return pool_->parallelism(); }
-
-ForceResult ParallelForceKernel::compute(WaterSystem& sys, const NeighborList& list) {
-  const int blocks = pool_->parallelism();
-  if (blocks == 1) return computeForces(sys, list);
-
-  const auto start = Clock::now();
-  const auto& pairs = list.pairs();
-  const std::size_t nSites = sys.forces.size();
-  blockForces_.resize(static_cast<std::size_t>(blocks));
-  blockPartials_.assign(static_cast<std::size_t>(blocks), ForceResult{});
-
-  const bool scalarIsa = simd::activeIsa() == simd::Isa::Scalar;
-  // One read-only SoA snapshot shared by all blocks of the SIMD path.
-  const std::unique_ptr<SimdForceContext> ctx =
-      scalarIsa ? nullptr : std::make_unique<SimdForceContext>(sys);
-
-  pool_->run(blocks, [&](int t) {
-    const auto ut = static_cast<std::size_t>(t);
-    std::vector<Vec3>& buffer = blockForces_[ut];
-    buffer.assign(nSites, Vec3{});
-    ForceResult& part = blockPartials_[ut];
-    PairAccumulator acc{buffer};
-    const std::size_t begin = pairs.size() * ut / static_cast<std::size_t>(blocks);
-    const std::size_t end = pairs.size() * (ut + 1) / static_cast<std::size_t>(blocks);
-    if (scalarIsa) {
-      const NonbondedKernel kernel = makeKernel(sys, acc, part);
-      for (std::size_t k = begin; k < end; ++k) {
-        kernel(pairs[k].first, pairs[k].second);
-      }
-    } else {
-      SimdPairStream stream(*ctx, acc, part);
-      for (std::size_t k = begin; k < end; ++k) {
-        stream.add(pairs[k].first, pairs[k].second);
-      }
-      stream.finish();
-    }
-    part.pairsEvaluated = static_cast<std::int64_t>(end - begin);
-    part.virial = acc.virial;
-  });
-
-  // Deterministic reduction: block order 0..T-1 is fixed regardless of
-  // which thread executed which block, so the result is bitwise
-  // reproducible for a given thread count.
-  ForceResult out;
-  for (auto& f : sys.forces) f = Vec3{};
-  for (int t = 0; t < blocks; ++t) {
-    const auto ut = static_cast<std::size_t>(t);
-    out.lennardJones += blockPartials_[ut].lennardJones;
-    out.coulomb += blockPartials_[ut].coulomb;
-    out.virial += blockPartials_[ut].virial;
-    out.pairsEvaluated += blockPartials_[ut].pairsEvaluated;
-    const std::vector<Vec3>& buffer = blockForces_[ut];
-    for (std::size_t i = 0; i < nSites; ++i) sys.forces[i] += buffer[i];
-  }
-  PairAccumulator acc{sys.forces, out.virial};
-  intramolecularForces(sys, sys.forces, acc, out);
+  intramolecularForces(sys, acc, out);
   out.potential = out.lennardJones + out.coulomb + out.intramolecular;
   out.virial = acc.virial;
   out.evalSeconds = secondsSince(start);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "md/neighbor_list.hpp"
 #include "md/system.hpp"
@@ -23,7 +22,7 @@ struct ForceResult {
 /// Aggregated force-path performance counters over a run: what the MD
 /// evaluation actually cost, and which fast paths it exercised.  Summed
 /// across integrators by operator+= (counters that describe configuration
-/// rather than work — threads, cell geometry — keep the last value).
+/// rather than work — the cell geometry — keep the last value).
 struct MdPerfCounters {
   std::int64_t forceEvaluations = 0;   ///< computeForces calls
   std::int64_t pairsEvaluated = 0;     ///< nonbonded candidates visited, total
@@ -33,7 +32,6 @@ struct MdPerfCounters {
   bool cellListUsed = false;           ///< last rebuild used the O(N) cell list
   int cellsPerDim = 0;                 ///< cells per box dimension (0 = brute force)
   double avgCellOccupancy = 0.0;       ///< mean sites per cell at last rebuild
-  int forceThreads = 1;                ///< thread count of the force path
 
   /// Mean candidate pairs per force evaluation.
   [[nodiscard]] double pairsPerEvaluation() const noexcept {
@@ -64,39 +62,6 @@ struct MdPerfCounters {
 /// Identical results to the all-pairs path whenever the list radius
 /// covers the cutoff — pinned down by the equivalence tests.
 [[nodiscard]] ForceResult computeForces(WaterSystem& sys, const NeighborList& list);
-
-class ThreadPool;
-
-/// Thread-parallel force evaluation over a neighbor list.
-///
-/// The pair list is split into `threads` contiguous blocks; block t is
-/// accumulated into thread-private force/energy/virial buffers selected
-/// by the *block index* (not the executing thread), and the buffers are
-/// reduced in fixed block order 0..T-1.  Results are therefore bitwise
-/// reproducible for a given thread count, and agree with the serial path
-/// to floating-point reassociation error (~1e-12 relative).
-///
-/// A kernel with threads == 1 delegates to the serial computeForces and
-/// is bitwise identical to it.
-class ParallelForceKernel {
- public:
-  /// threads >= 1; the calling thread participates, so `threads` is the
-  /// total concurrency of one evaluation.
-  explicit ParallelForceKernel(int threads);
-  ParallelForceKernel(const ParallelForceKernel&) = delete;
-  ParallelForceKernel& operator=(const ParallelForceKernel&) = delete;
-  ~ParallelForceKernel();
-
-  [[nodiscard]] int threads() const noexcept;
-
-  /// Compute forces into sys.forces from the (current) neighbor list.
-  [[nodiscard]] ForceResult compute(WaterSystem& sys, const NeighborList& list);
-
- private:
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::vector<Vec3>> blockForces_;  ///< per-block force buffers
-  std::vector<ForceResult> blockPartials_;      ///< per-block energy/virial partials
-};
 
 /// Instantaneous virial pressure in atm:
 ///   P = (2 K + W) / (3 V)   with K kinetic energy and W the virial.

@@ -13,19 +13,8 @@ VelocityVerlet::VelocityVerlet(WaterSystem& sys, Options options)
   if (options_.targetTemperatureK < 0.0) {
     throw std::invalid_argument("VelocityVerlet: negative target temperature");
   }
-  if (options_.forceThreads < 1) {
-    throw std::invalid_argument("VelocityVerlet: forceThreads must be >= 1");
-  }
-  if (options_.forceThreads > 1 && !options_.useNeighborList) {
-    throw std::invalid_argument(
-        "VelocityVerlet: forceThreads > 1 requires useNeighborList (the parallel "
-        "kernel partitions the neighbor pair list)");
-  }
   if (options_.useNeighborList) {
     list_ = std::make_unique<NeighborList>(sys_.cutoff(), options_.neighborSkin);
-  }
-  if (options_.forceThreads > 1) {
-    kernel_ = std::make_unique<ParallelForceKernel>(options_.forceThreads);
   }
   if (options_.telemetry != nullptr) {
     auto& reg = options_.telemetry->metrics();
@@ -41,7 +30,7 @@ ForceResult VelocityVerlet::evaluateForces() {
   ForceResult result;
   if (list_) {
     (void)list_->update(sys_);
-    result = kernel_ ? kernel_->compute(sys_, *list_) : computeForces(sys_, *list_);
+    result = computeForces(sys_, *list_);
   } else {
     result = computeForces(sys_);
   }
@@ -61,7 +50,6 @@ MdPerfCounters VelocityVerlet::perfCounters() const noexcept {
   c.forceEvaluations = forceEvaluations_;
   c.pairsEvaluated = pairsEvaluated_;
   c.forceSeconds = forceSeconds_;
-  c.forceThreads = options_.forceThreads;
   if (list_) {
     c.neighborRebuilds = list_->rebuilds();
     c.maxDriftSeen = list_->maxDriftSeen();

@@ -27,11 +27,6 @@ class VelocityVerlet {
     /// cutoff + skin <= box/2.
     bool useNeighborList = false;
     double neighborSkin = 1.0;    ///< A
-    /// Threads for the nonbonded force loop (1 = today's serial path).
-    /// Values > 1 require useNeighborList — the parallel kernel
-    /// partitions the pair list — and reduce per-block partials in fixed
-    /// order, so trajectories are bitwise reproducible per thread count.
-    int forceThreads = 1;
     /// Optional observability spine (non-owning; must outlive the
     /// integrator).  Registers the md.* force-path metrics once at
     /// construction; the per-step cost when attached is a few relaxed
@@ -65,7 +60,6 @@ class VelocityVerlet {
   WaterSystem& sys_;
   Options options_;
   std::unique_ptr<NeighborList> list_;
-  std::unique_ptr<ParallelForceKernel> kernel_;  ///< only when forceThreads > 1
   ForceResult last_;
   std::int64_t forceEvaluations_ = 0;
   std::int64_t pairsEvaluated_ = 0;

@@ -20,7 +20,6 @@ void exportPerfCounters(telemetry::Telemetry* telemetry, const MdPerfCounters& p
   if (telemetry == nullptr) return;
   auto& reg = telemetry->metrics();
   reg.counter("md.neighbor_rebuilds").add(perf.neighborRebuilds);
-  reg.gauge("md.force_threads").set(static_cast<double>(perf.forceThreads));
   reg.gauge("md.max_drift_seen").set(perf.maxDriftSeen);
   reg.gauge("md.cells_per_dim").set(static_cast<double>(perf.cellsPerDim));
   reg.gauge("md.avg_cell_occupancy").set(perf.avgCellOccupancy);
@@ -47,9 +46,6 @@ WaterObservables simulateWater(const WaterParameters& params, const SimulationCo
     if (skin <= 0.0) skin = std::min(1.0, room * 0.9);
     if (skin <= 0.05) useList = false;
   }
-  if (config.forceThreads < 1) {
-    throw std::invalid_argument("simulateWater: forceThreads must be >= 1");
-  }
   const auto integratorOptions = [&](double targetT) {
     VelocityVerlet::Options o;
     o.dtPs = config.dtPs;
@@ -57,9 +53,6 @@ WaterObservables simulateWater(const WaterParameters& params, const SimulationCo
     o.berendsenTauPs = config.berendsenTauPs;
     o.useNeighborList = useList;
     o.neighborSkin = skin;
-    // The parallel kernel walks the neighbor pair list; without a list
-    // (tiny boxes) the force path stays serial.
-    o.forceThreads = useList ? config.forceThreads : 1;
     o.telemetry = config.telemetry;
     return o;
   };

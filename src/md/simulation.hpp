@@ -38,12 +38,6 @@ struct SimulationConfig {
   /// Apply homogeneous-fluid LJ tail corrections to the reported <U> and
   /// <P> (the truncated-and-shifted potential itself is unchanged).
   bool applyTailCorrections = true;
-  /// Threads for the nonbonded force loop (1 = the serial path; existing
-  /// trajectories are unchanged).  Ignored (clamped to 1) when the box is
-  /// too small for a neighbor list, since the parallel kernel partitions
-  /// the neighbor pair list.  Results are bitwise reproducible per
-  /// thread count via the fixed-order block reduction.
-  int forceThreads = 1;
   /// Optional observability spine (non-owning; must outlive the run).
   /// Attaching it folds the MdPerfCounters into the metrics registry as
   /// md.* metrics and emits md.equilibration / md.production phase spans.

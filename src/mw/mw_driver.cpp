@@ -50,8 +50,6 @@ void MWDriver::setTelemetry(telemetry::Telemetry* telemetry) {
                                telemetry::Histogram::exponentialBounds(1e-6, 10.0, 7));
   telIdleFraction_ = &reg.histogram("mw.worker_idle_fraction",
                                     {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0});
-  telSpecDuplicates_ = &reg.counter("mw.speculative_duplicates");
-  telSpecDiscards_ = &reg.counter("mw.speculative_discards");
   telStaleDiscards_ = &reg.counter("mw.stale_results_discarded");
   reg.gauge("mw.workers").set(static_cast<double>(workerCount()));
 }
@@ -71,23 +69,8 @@ void MWDriver::growTo(int worldSize) {
   if (busy_.size() < s) {
     busy_.resize(s, false);
     inFlightId_.resize(s, 0);
-    ghostId_.resize(s, 0);
     ensureRank(worldSize - 1);
   }
-}
-
-int MWDriver::holdersOf(std::uint64_t id) const noexcept {
-  int n = 0;
-  for (const std::uint64_t held : inFlightId_) n += held == id ? 1 : 0;
-  return n;
-}
-
-void MWDriver::releaseRank(Rank worker) {
-  const auto w = static_cast<std::size_t>(worker);
-  busy_[w] = false;
-  inFlightId_[w] = 0;
-  ghostId_[w] = 0;
-  --inFlight_;
 }
 
 // Dynamic dispatch over explicit free/busy worker state.  A worker that
@@ -113,7 +96,6 @@ void MWDriver::dispatch() {
     }
     comm_.send(0, worker, kTagTask, MessageBuffer(std::vector<std::byte>(st.wire)), st.trace,
                st.remoteSpan);
-    st.dispatchedSteady = steadySeconds();
     busy_[static_cast<std::size_t>(worker)] = true;
     inFlightId_[static_cast<std::size_t>(worker)] = id;
     ++inFlight_;
@@ -202,16 +184,6 @@ void MWDriver::handleMessage(Message msg) {
     const std::uint64_t id = msg.payload.unpackUint64();
     growTo(msg.source + 1);
     const auto src = static_cast<std::size_t>(msg.source);
-    if (id != 0 && ghostId_[src] == id) {
-      // The losing copy of a speculated shard reporting after the winner:
-      // discard the (identical) payload and put the worker back to work.
-      releaseRank(msg.source);
-      ++speculativeDiscards_;
-      if (telSpecDiscards_ != nullptr) telSpecDiscards_->add(1);
-      dispatch();
-      observeIdleFraction();
-      return;
-    }
     const auto it = tasks_.find(id);
     // Duplicated or reordered-across-reconnect completion: the task is
     // already folded (or requeued to another holder).  Discard it without
@@ -222,9 +194,6 @@ void MWDriver::handleMessage(Message msg) {
       if (telStaleDiscards_ != nullptr) telStaleDiscards_->add(1);
       return;
     }
-    const double execSeconds = steadySeconds() - it->second.dispatchedSteady;
-    executeEwma_ =
-        executeEwma_ <= 0.0 ? execSeconds : 0.8 * executeEwma_ + 0.2 * execSeconds;
     if (telemetry_ != nullptr) {
       const double d = telNow() - it->second.dispatchedAt;
       telExecute_->observe(d);
@@ -243,14 +212,6 @@ void MWDriver::handleMessage(Message msg) {
     --inFlight_;
     busy_[src] = false;
     inFlightId_[src] = 0;
-    // Any other rank still running a copy of this task becomes a ghost:
-    // it stays busy until its late report arrives and is discarded.
-    for (std::size_t r = 0; r < inFlightId_.size(); ++r) {
-      if (r != src && inFlightId_[r] == id) {
-        ghostId_[r] = id;
-        inFlightId_[r] = 0;
-      }
-    }
     ready_.push_back(AsyncCompletion{id, std::move(msg.payload)});
     dispatch();
     // Sampled at every completion: how much of the live fleet sits idle
@@ -261,25 +222,9 @@ void MWDriver::handleMessage(Message msg) {
     const std::string what = msg.payload.unpackString();
     growTo(msg.source + 1);
     const auto src = static_cast<std::size_t>(msg.source);
-    if (id != 0 && ghostId_[src] == id) {
-      releaseRank(msg.source);
-      ++speculativeDiscards_;
-      if (telSpecDiscards_ != nullptr) telSpecDiscards_->add(1);
+    if (busy_[src] && inFlightId_[src] == id) {
+      requeue(msg.source, id, what, "error");
       dispatch();
-    } else if (busy_[src] && inFlightId_[src] == id) {
-      if (holdersOf(id) > 1) {
-        // The other copy of this speculated shard is still out; dropping
-        // this one loses nothing and must not count against the retry
-        // budget or requeue a task that is not actually stranded.
-        if (const auto it = tasks_.find(id); it != tasks_.end()) {
-          it->second.lastFailedOn = msg.source;
-        }
-        releaseRank(msg.source);
-        dispatch();
-      } else {
-        requeue(msg.source, id, what, "error");
-        dispatch();
-      }
     } else {
       // A failure report for a task this rank no longer holds: a stale or
       // duplicated frame, not a protocol state we track.
@@ -295,17 +240,8 @@ void MWDriver::handleMessage(Message msg) {
       if (telemetry_ != nullptr) telWorkersLost_->add(1);
     }
     const auto li = static_cast<std::size_t>(lost);
-    if (ghostId_[li] != 0) {
-      releaseRank(lost);
-      ++speculativeDiscards_;
-      if (telSpecDiscards_ != nullptr) telSpecDiscards_->add(1);
-    } else if (busy_[li]) {
-      const std::uint64_t held = inFlightId_[li];
-      if (holdersOf(held) > 1) {
-        releaseRank(lost);
-      } else {
-        requeue(lost, held, "worker rank " + std::to_string(lost) + " lost", "lost");
-      }
+    if (busy_[li]) {
+      requeue(lost, inFlightId_[li], "worker rank " + std::to_string(lost) + " lost", "lost");
     }
     if (liveWorkerCount() == 0 && !tasks_.empty()) {
       throw std::runtime_error("MWDriver: every worker is lost with " +
@@ -319,36 +255,6 @@ void MWDriver::handleMessage(Message msg) {
   // Stray tags are ignored.
 }
 
-void MWDriver::maybeSpeculate() {
-  if (speculativeFactor_ <= 0.0 || executeEwma_ <= 0.0 || inFlight_ == 0 ||
-      !pending_.empty()) {
-    return;
-  }
-  growTo(comm_.size());
-  const double now = steadySeconds();
-  const double threshold = speculativeFactor_ * executeEwma_;
-  for (auto& [id, st] : tasks_) {
-    if (holdersOf(id) != 1) continue;  // not dispatched, or already duplicated
-    if (now - st.dispatchedSteady <= threshold) continue;
-    Rank chosen = -1;
-    for (Rank w = 1; w < comm_.size(); ++w) {
-      if (busy_[static_cast<std::size_t>(w)] || isDead(w)) continue;
-      chosen = w;
-      break;
-    }
-    if (chosen < 0) return;  // fleet saturated; nothing to borrow
-    // Same wire bytes, same trace: whichever copy reports first produces
-    // the canonical payload, so the race cannot change any result bit.
-    comm_.send(0, chosen, kTagTask, MessageBuffer(std::vector<std::byte>(st.wire)), st.trace,
-               st.remoteSpan);
-    busy_[static_cast<std::size_t>(chosen)] = true;
-    inFlightId_[static_cast<std::size_t>(chosen)] = id;
-    ++inFlight_;
-    ++speculativeDuplicates_;
-    if (telSpecDuplicates_ != nullptr) telSpecDuplicates_->add(1);
-  }
-}
-
 std::uint64_t MWDriver::submit(MessageBuffer input, std::uint64_t trace) {
   if (shutDown_) throw std::logic_error("MWDriver: already shut down");
   const std::uint64_t id = nextTaskId_++;
@@ -360,7 +266,7 @@ std::uint64_t MWDriver::submit(MessageBuffer input, std::uint64_t trace) {
   const auto& tail = input.wire();
   wire.insert(wire.end(), tail.begin(), tail.end());
   const double now = telNow();
-  Task st{std::move(wire), 0, -1, now, now, 0.0, 0, 0, trace != 0 ? trace : id};
+  Task st{std::move(wire), 0, -1, now, now, 0, 0, trace != 0 ? trace : id};
   if (telemetry_ != nullptr) {
     st.rootSpan = telemetry_->tracer().begin("shard.lifecycle", 0, st.trace);
   }
@@ -374,7 +280,6 @@ std::vector<MWDriver::AsyncCompletion> MWDriver::poll(double timeoutSeconds) {
   if (shutDown_) throw std::logic_error("MWDriver: already shut down");
   // Drain whatever already arrived without waiting.
   while (auto msg = comm_.tryRecv(0)) handleMessage(std::move(*msg));
-  maybeSpeculate();
   // Silence is judged per receive-timeout window: a window that ends
   // without any worker message, while tasks are outstanding, throws.  An
   // error or loss report is a message, so a requeued task gets a fresh
@@ -399,7 +304,6 @@ std::vector<MWDriver::AsyncCompletion> MWDriver::poll(double timeoutSeconds) {
     heard = true;
     handleMessage(std::move(*msg));
     while (auto extra = comm_.tryRecv(0)) handleMessage(std::move(*extra));
-    maybeSpeculate();
   }
   return std::exchange(ready_, {});
 }

@@ -102,25 +102,6 @@ class MWDriver {
   void setRecvTimeout(double seconds) { recvTimeoutSeconds_ = seconds; }
   [[nodiscard]] double recvTimeout() const noexcept { return recvTimeoutSeconds_; }
 
-  /// Straggler mitigation in poll()/drain(): once a dispatched task has
-  /// been out longer than `factor` times the EWMA of observed execute
-  /// times, duplicate-dispatch it to an idle live worker.  First
-  /// completion wins; the loser's late result is discarded against the
-  /// ghost bookkeeping, so results are bitwise independent of which copy
-  /// won (identical payload bytes either way).  Workers are only
-  /// borrowed when the pending queue is empty, so speculation never
-  /// delays first-time dispatches.  0 (the default) disables it.
-  void setSpeculativeFactor(double factor) noexcept {
-    speculativeFactor_ = factor < 0.0 ? 0.0 : factor;
-  }
-  [[nodiscard]] double speculativeFactor() const noexcept { return speculativeFactor_; }
-  [[nodiscard]] std::uint64_t speculativeDuplicates() const noexcept {
-    return speculativeDuplicates_;
-  }
-  [[nodiscard]] std::uint64_t speculativeDiscards() const noexcept {
-    return speculativeDiscards_;
-  }
-
   /// Completions (or error reports) that arrived for a task this driver no
   /// longer tracks, or from a rank that is not the task's current holder —
   /// duplicated frames, or late frames reordered across a reconnect.  They
@@ -160,9 +141,6 @@ class MWDriver {
     Rank lastFailedOn = -1;
     double enqueuedAt = 0.0;
     double dispatchedAt = 0.0;
-    /// Steady-clock dispatch time (seconds): straggler detection and the
-    /// execute EWMA must work without a telemetry spine attached.
-    double dispatchedSteady = 0.0;
     std::uint64_t rootSpan = 0;    ///< shard.lifecycle span (trace = `trace`)
     std::uint64_t remoteSpan = 0;  ///< open shard.remote span while dispatched
     std::uint64_t trace = 0;       ///< trace id: caller-supplied, or task id
@@ -172,11 +150,6 @@ class MWDriver {
   void requeue(Rank worker, std::uint64_t id, const std::string& why, const char* outcome);
   void handleMessage(Message msg);
   void observeIdleFraction();
-  void maybeSpeculate();
-  /// Ranks currently holding `id` (1 normally, 2 while a duplicate is out).
-  [[nodiscard]] int holdersOf(std::uint64_t id) const noexcept;
-  /// Free a rank whose copy of a task became redundant (no requeue).
-  void releaseRank(Rank worker);
   [[nodiscard]] static double steadySeconds();
 
   net::Transport& comm_;
@@ -192,15 +165,9 @@ class MWDriver {
   std::unordered_map<std::uint64_t, Task> tasks_;
   std::deque<std::uint64_t> pending_;
   std::vector<bool> busy_;
+  /// What each busy rank is running; a task is held by at most one rank.
   std::vector<std::uint64_t> inFlightId_;
-  /// Per-rank id of a speculated task that already completed elsewhere:
-  /// the rank stays busy until its late (discarded) report frees it.
-  std::vector<std::uint64_t> ghostId_;
   int inFlight_ = 0;
-  double speculativeFactor_ = 0.0;
-  double executeEwma_ = 0.0;  ///< steady-clock EWMA of execute seconds
-  std::uint64_t speculativeDuplicates_ = 0;
-  std::uint64_t speculativeDiscards_ = 0;
   std::uint64_t staleResultsDiscarded_ = 0;
   std::vector<AsyncCompletion> ready_;
 
@@ -210,8 +177,6 @@ class MWDriver {
   telemetry::Counter* telTasksRequeued_ = nullptr;
   telemetry::Counter* telTasksDispatched_ = nullptr;
   telemetry::Counter* telWorkersLost_ = nullptr;
-  telemetry::Counter* telSpecDuplicates_ = nullptr;
-  telemetry::Counter* telSpecDiscards_ = nullptr;
   telemetry::Counter* telStaleDiscards_ = nullptr;
   telemetry::Histogram* telQueueWait_ = nullptr;
   telemetry::Histogram* telExecute_ = nullptr;

@@ -696,40 +696,17 @@ TcpWorkerTransport::TcpWorkerTransport(const std::string& host, std::uint16_t po
     std::lock_guard lock(sendMutex_);
     writeFrameLocked(makeHelloFrame(), /*nothrow=*/false);
   }
-  // Wait for the Welcome; any stray frames decoded alongside it (the
-  // greeting often rides the same segment) stay queued for recv().
+  // Wait for the Welcome.  Frames decoded in the same read (the greeting
+  // or a first task often ride its segment) are queued for recv().
   const double deadline = monotonicSeconds() + options_.handshakeTimeoutSeconds;
-  std::optional<Welcome> welcome;
-  while (!welcome.has_value()) {
+  while (rank_ < 0) {
     const double remaining = deadline - monotonicSeconds();
     if (remaining <= 0.0) {
       throw ConnectionLost("handshake: no welcome from master within " +
                            std::to_string(options_.handshakeTimeoutSeconds) + "s");
     }
-    fill(std::min(remaining, kPollSliceSeconds));
-    while (auto frame = decoder_.next()) {
-      if (frame->type == FrameType::Welcome) {
-        welcome = parseWelcome(*frame);
-        break;
-      }
-      if (frame->type == FrameType::Message) {
-        Message m;
-        m.source = 0;
-        m.tag = frame->tag;
-        m.traceId = frame->traceId;
-        m.parentSpan = frame->parentSpan;
-        m.payload = mw::MessageBuffer(std::move(frame->payload));
-        inbox_.push_back(std::move(m));
-        inboxDepth_.store(static_cast<std::uint32_t>(inbox_.size()));
-      }
-      if (frame->type == FrameType::Heartbeat && frame->senderTime > 0.0) {
-        lastMasterBeat_.store(frame->senderTime);
-        lastMasterBeatLocal_.store(localNow());
-      }
-    }
+    readSome(std::min(remaining, kPollSliceSeconds));
   }
-  rank_ = welcome->rank;
-  worldSize_ = welcome->worldSize;
   lastHeard_ = monotonicSeconds();
   NetTelemetry::add(tel_.connects);
   beat_ = std::thread([this] { beatLoop(); });
@@ -865,6 +842,10 @@ void TcpWorkerTransport::fill(double timeoutSeconds) {
 
 void TcpWorkerTransport::readSome(double timeoutSeconds) {
   fill(timeoutSeconds);
+  decodeFrames();
+}
+
+void TcpWorkerTransport::decodeFrames() {
   try {
     while (auto frame = decoder_.next()) {
       ++framesReceived_;
@@ -891,6 +872,14 @@ void TcpWorkerTransport::readSome(double timeoutSeconds) {
             lastMasterBeatLocal_.store(localNow());
           }
           break;
+        case FrameType::Welcome:
+          if (rank_ < 0) {
+            const Welcome welcome = parseWelcome(*frame);
+            rank_ = welcome.rank;
+            worldSize_ = welcome.worldSize;
+            break;
+          }
+          [[fallthrough]];
         default:
           dead_.store(true);
           throw ConnectionLost("master sent an unexpected handshake frame");

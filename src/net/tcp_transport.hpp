@@ -337,14 +337,16 @@ class TcpWorkerTransport final : public Transport {
   /// Blocking framed write under sendMutex_; marks the connection dead and
   /// throws ConnectionLost on failure (unless `nothrow`).
   void writeFrameLocked(const Frame& frame, bool nothrow);
-  /// Poll + read raw bytes into the decoder for at most `timeoutSeconds`
-  /// without dispatching frames (the handshake pulls its Welcome out by
-  /// hand).  Throws ConnectionLost when the socket closes or errors.
+  /// Poll + read raw bytes into the decoder for at most `timeoutSeconds`.
+  /// Throws ConnectionLost when the socket closes or errors.
   void fill(double timeoutSeconds);
-  /// fill(), then dispatch every decoded frame (messages to the inbox,
-  /// heartbeats to lastHeard_); handshake frames after registration are a
-  /// protocol violation.
+  /// fill(), then decodeFrames().
   void readSome(double timeoutSeconds);
+  /// Dispatch every complete frame the decoder holds, so none waits for
+  /// the next poll: messages to the inbox, heartbeats to the clock-offset
+  /// echo, and the connection's one Welcome to rank_/worldSize_.  Any
+  /// other handshake frame is a protocol violation.
+  void decodeFrames();
   [[nodiscard]] std::optional<Message> takeMatching(Rank source, int tag);
   void checkSelf(Rank r, const char* what) const;
 

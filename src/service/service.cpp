@@ -18,8 +18,8 @@ namespace {
 
 /// Longest the daemon loop blocks in the transport poll.  Work arriving
 /// from sockets or engine threads ends the wait at once; the cap only
-/// bounds how often the loop checks the stop flag, the receive-timeout
-/// stall and straggler speculation.
+/// bounds how often the loop checks the stop flag and the receive-timeout
+/// stall.
 constexpr double kLoopWaitSeconds = 0.05;
 
 }  // namespace
@@ -170,7 +170,6 @@ void OptimizationService::ensureDriver() {
   driver_ = std::make_unique<mw::MWDriver>(comm_);
   driver_->setTelemetry(opts_.telemetry);
   driver_->setRecvTimeout(opts_.recvTimeoutSeconds);
-  driver_->setSpeculativeFactor(opts_.speculativeFactor);
   logLine("fleet:    driver up with " + std::to_string(driver_->liveWorkerCount()) +
           " live worker(s)");
 }

@@ -55,10 +55,6 @@ struct ServiceOptions {
   /// Keep at most this many finished jobs in the table, evicting oldest
   /// first (the journal keeps them durable).  0 = unlimited.
   std::int64_t resultRetention = 0;
-  /// Straggler mitigation: duplicate-dispatch a shard to an idle worker
-  /// once it has been outstanding longer than this factor times the
-  /// fleet's EWMA execute time.  0 = off.
-  double speculativeFactor = 0.0;
   telemetry::Telemetry* telemetry = nullptr;
   std::ostream* log = nullptr;  ///< lifecycle lines; nullptr = silent
 };

@@ -1,14 +1,13 @@
 #include "service/service_worker.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "mw/sampling_service.hpp"
 
 namespace sfopt::service {
 
-ServiceWorker::ServiceWorker(net::Transport& comm, mw::Rank rank, int maxCachedJobs)
-    : mw::MWWorker(comm, rank), maxCachedJobs_(std::max(maxCachedJobs, 1)) {}
+ServiceWorker::ServiceWorker(net::Transport& comm, mw::Rank rank)
+    : mw::MWWorker(comm, rank) {}
 
 mw::VertexServer& ServiceWorker::serverFor(std::uint64_t jobId, const ObjectiveSpec& spec) {
   for (auto it = cache_.begin(); it != cache_.end(); ++it) {
@@ -23,7 +22,7 @@ mw::VertexServer& ServiceWorker::serverFor(std::uint64_t jobId, const ObjectiveS
   entry.server = std::make_unique<mw::VertexServer>(*entry.objective,
                                                     static_cast<int>(spec.clients));
   cache_.push_front(std::move(entry));
-  while (cache_.size() > static_cast<std::size_t>(maxCachedJobs_)) cache_.pop_back();
+  if (cache_.size() > kCachedJobs) cache_.pop_back();
   return *cache_.front().server;
 }
 

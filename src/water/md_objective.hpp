@@ -21,9 +21,9 @@ namespace sfopt::water {
 class MdWaterObjective final : public noise::StochasticObjective {
  public:
   struct Options {
-    /// Per-sample protocol (keep it small).  `simulation.forceThreads`
-    /// runs each sample's nonbonded loop thread-parallel — the per-sample
-    /// knob to pair with the MW framework's across-sample parallelism.
+    /// Per-sample protocol (keep it small).  Each sample runs serially;
+    /// parallelism comes from the MW framework sampling across vertices
+    /// and clients, as in the paper.
     md::SimulationConfig simulation;
     /// Targets; empty = U, P, D and the g_OO residual with weights scaled
     /// for the flexible 3-site engine.

@@ -189,10 +189,9 @@ TEST(SamplingContext, NegativeRefineThrows) {
   EXPECT_THROW((void)ctx.refine(*v, -1), std::invalid_argument);
 }
 
-/// A fabric with its own silence rule, longer than EvalScheduler's default
-/// 300 s backstop (as `--recv-timeout 600` makes the MW driver).  It
-/// computes each batch on submit, stays silent on the first poll, and
-/// records how long every poll was allowed to wait.
+/// A fabric with its own silence rule, as `--recv-timeout 600` gives the
+/// MW driver.  It computes each batch on submit, stays silent on the first
+/// poll, and records how long every poll was allowed to wait.
 class PatientBackend final : public core::SamplingBackend {
  public:
   static constexpr double kSilenceRuleSeconds = 600.0;

@@ -12,7 +12,6 @@
 #include "md/integrator.hpp"
 #include "md/neighbor_list.hpp"
 #include "md/system.hpp"
-#include "md/thread_pool.hpp"
 
 namespace {
 
@@ -132,14 +131,11 @@ TEST(CellList, SerialCellListAndParallelForcesAgree) {
   auto sysAll = cellSystem(13);
   randomizePositions(sysAll, 77);
   auto sysList = sysAll;
-  auto sysPar = sysAll;
 
   const ForceResult all = computeForces(sysAll);  // O(N^2) reference
   NeighborList list(4.0, 1.0, NeighborStrategy::kCellList);
   list.rebuild(sysList);
   const ForceResult viaList = computeForces(sysList, list);
-  ParallelForceKernel kernel(4);
-  const ForceResult viaPar = kernel.compute(sysPar, list);
 
   // All-pairs and cell-list walk the contributing pairs in the same
   // lexicographic order: bitwise identical.
@@ -148,91 +144,11 @@ TEST(CellList, SerialCellListAndParallelForcesAgree) {
   for (std::size_t i = 0; i < sysAll.forces.size(); ++i) {
     EXPECT_EQ(sysAll.forces[i], sysList.forces[i]) << "site " << i;
   }
-
-  // The parallel reduction reassociates sums: agreement to 1e-12 (relative).
-  const auto near = [](double a, double b) {
-    EXPECT_NEAR(a, b, 1e-12 * std::max(1.0, std::abs(a)));
-  };
-  near(all.potential, viaPar.potential);
-  near(all.lennardJones, viaPar.lennardJones);
-  near(all.coulomb, viaPar.coulomb);
-  near(all.intramolecular, viaPar.intramolecular);
-  near(all.virial, viaPar.virial);
-  for (std::size_t i = 0; i < sysAll.forces.size(); ++i) {
-    near(sysAll.forces[i].x, sysPar.forces[i].x);
-    near(sysAll.forces[i].y, sysPar.forces[i].y);
-    near(sysAll.forces[i].z, sysPar.forces[i].z);
-  }
-  EXPECT_EQ(viaList.pairsEvaluated, viaPar.pairsEvaluated);
-}
-
-TEST(CellList, ParallelForcesBitwiseReproduciblePerThreadCount) {
-  auto sys = cellSystem(21);
-  randomizePositions(sys, 9);
-  NeighborList list(4.0, 1.0);
-  list.rebuild(sys);
-
-  ParallelForceKernel kernel(3);
-  auto sysA = sys;
-  auto sysB = sys;
-  const ForceResult a = kernel.compute(sysA, list);
-  const ForceResult b = kernel.compute(sysB, list);  // same kernel, repeated
-  ParallelForceKernel fresh(3);
-  auto sysC = sys;
-  const ForceResult c = fresh.compute(sysC, list);  // fresh pool, same count
-
-  EXPECT_EQ(a.potential, b.potential);
-  EXPECT_EQ(a.potential, c.potential);
-  EXPECT_EQ(a.virial, b.virial);
-  EXPECT_EQ(a.virial, c.virial);
-  for (std::size_t i = 0; i < sys.forces.size(); ++i) {
-    EXPECT_EQ(sysA.forces[i], sysB.forces[i]) << "site " << i;
-    EXPECT_EQ(sysA.forces[i], sysC.forces[i]) << "site " << i;
-  }
-}
-
-TEST(CellList, ParallelTrajectoryBitwiseReproducible) {
-  // Two independent 50-step runs at forceThreads = 3 must agree bit for
-  // bit — the acceptance criterion for the deterministic reduction.
-  auto sysA = cellSystem(31);
-  auto sysB = sysA;
-  VelocityVerlet a(sysA, {.dtPs = 0.0002, .useNeighborList = true, .neighborSkin = 1.0,
-                          .forceThreads = 3});
-  VelocityVerlet b(sysB, {.dtPs = 0.0002, .useNeighborList = true, .neighborSkin = 1.0,
-                          .forceThreads = 3});
-  for (int step = 0; step < 50; ++step) {
-    const auto fa = a.step();
-    const auto fb = b.step();
-    ASSERT_EQ(fa.potential, fb.potential) << "step " << step;
-  }
-  for (std::size_t i = 0; i < sysA.positions.size(); ++i) {
-    ASSERT_EQ(sysA.positions[i], sysB.positions[i]) << "site " << i;
-  }
-}
-
-TEST(CellList, SerialAndSingleThreadKernelTrajectoriesIdentical) {
-  // forceThreads = 1 must be the exact serial path (default unchanged).
-  auto sysA = cellSystem(17);
-  auto sysB = sysA;
-  VelocityVerlet serial(sysA, {.dtPs = 0.0002, .useNeighborList = true,
-                               .neighborSkin = 1.0});
-  VelocityVerlet oneThread(sysB, {.dtPs = 0.0002, .useNeighborList = true,
-                                  .neighborSkin = 1.0, .forceThreads = 1});
-  for (int step = 0; step < 30; ++step) {
-    ASSERT_EQ(serial.step().potential, oneThread.step().potential) << "step " << step;
-  }
-}
-
-TEST(CellList, IntegratorRejectsParallelWithoutNeighborList) {
-  auto sys = buildWaterLattice(8, 0.997, 298.0, tip4pPublished(), 3.0, 1);
-  EXPECT_THROW(VelocityVerlet(sys, {.forceThreads = 4}), std::invalid_argument);
-  EXPECT_THROW(VelocityVerlet(sys, {.forceThreads = 0}), std::invalid_argument);
 }
 
 TEST(CellList, PerfCountersReportTheForcePath) {
   auto sys = cellSystem(41);
-  VelocityVerlet vv(sys, {.dtPs = 0.0002, .useNeighborList = true, .neighborSkin = 1.0,
-                          .forceThreads = 2});
+  VelocityVerlet vv(sys, {.dtPs = 0.0002, .useNeighborList = true, .neighborSkin = 1.0});
   (void)vv.run(40);
   const MdPerfCounters perf = vv.perfCounters();
   EXPECT_EQ(perf.forceEvaluations, 41);  // constructor eval + 40 steps
@@ -242,19 +158,7 @@ TEST(CellList, PerfCountersReportTheForcePath) {
   EXPECT_GT(perf.forceSeconds, 0.0);
   EXPECT_TRUE(perf.cellListUsed);
   EXPECT_EQ(perf.cellsPerDim, 3);
-  EXPECT_EQ(perf.forceThreads, 2);
   EXPECT_GT(perf.maxDriftSeen, 0.0);
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnceAcrossReuse) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.parallelism(), 4);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> hits(17, 0);
-    pool.run(17, [&](int t) { ++hits[static_cast<std::size_t>(t)]; });
-    for (int h : hits) ASSERT_EQ(h, 1) << "round " << round;
-  }
-  pool.run(0, [](int) { FAIL() << "no tasks requested"; });
 }
 
 }  // namespace

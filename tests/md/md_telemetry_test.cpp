@@ -44,8 +44,6 @@ TEST(MdTelemetry, PerfCountersFoldIntoRegistry) {
   EXPECT_EQ(reg.counter("md.force_evaluations").value(), obs.perf.forceEvaluations);
   EXPECT_EQ(reg.counter("md.pairs_evaluated").value(), obs.perf.pairsEvaluated);
   EXPECT_EQ(reg.counter("md.neighbor_rebuilds").value(), obs.perf.neighborRebuilds);
-  EXPECT_DOUBLE_EQ(reg.gauge("md.force_threads").value(),
-                   static_cast<double>(obs.perf.forceThreads));
   EXPECT_DOUBLE_EQ(reg.gauge("md.max_drift_seen").value(), obs.perf.maxDriftSeen);
   EXPECT_DOUBLE_EQ(reg.gauge("md.pairs_per_evaluation").value(),
                    obs.perf.pairsPerEvaluation());

@@ -5,10 +5,16 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include <sys/socket.h>
 
 #include "mw/mw_task.hpp"
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "telemetry/sink.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -149,6 +155,47 @@ TEST(TcpTransport, SlowWelcomeWithinTheMasterTimeoutIsNotSilence) {
   EXPECT_EQ(error, "");
   ASSERT_NE(worker, nullptr);
   EXPECT_EQ(worker->rank(), 1);
+}
+
+TEST(TcpTransport, FrameRidingWithTheWelcomeIsDeliveredWithoutAPollSlice) {
+  // A raw master answers the Hello with the Welcome and a first message in
+  // one send(), so the worker decodes both from the same read.  The message
+  // must be ready at once, not after recv() polls the idle socket for a
+  // whole 0.2 s slice.
+  Socket listener = tcpListen(0);
+  const std::uint16_t port = localPort(listener);
+  std::unique_ptr<TcpWorkerTransport> worker;
+  std::string error;
+  std::thread dial([&] {
+    try {
+      worker = std::make_unique<TcpWorkerTransport>("127.0.0.1", port);
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  std::optional<Socket> conn;
+  const auto giveUp = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!conn && std::chrono::steady_clock::now() < giveUp) {
+    conn = tcpAccept(listener);
+    if (!conn) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(conn.has_value());
+  std::vector<std::byte> wire;
+  appendFrame(wire, makeWelcomeFrame(1, 2));
+  appendFrame(wire, makeMessageFrame(7, payload(42).releaseWire()));
+  ASSERT_EQ(::send(conn->fd(), wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+  dial.join();
+  ASSERT_NE(worker, nullptr) << error;
+  EXPECT_EQ(worker->rank(), 1);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  auto msg = worker->recvFor(1, 5.0, 0, 7);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->payload.unpackInt64(), 42);
+  EXPECT_LT(waited, 0.05);
 }
 
 TEST(TcpTransport, DisconnectSynthesizesWorkerLost) {

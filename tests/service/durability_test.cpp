@@ -284,7 +284,7 @@ class SlowServiceWorker final : public service::ServiceWorker {
 };
 
 /// One daemon + worker fleet on an ephemeral port (service_test.cpp's
-/// harness, grown durability/speculation knobs).  The first `slowWorkers`
+/// harness, grown durability knobs).  The first `slowWorkers`
 /// workers sleep `slowWorkerDelay` before every task.
 struct Harness {
   net::TcpCommWorld comm{0};
@@ -749,26 +749,7 @@ TEST(Durability, JobSurvivesChaosPartitionAndDuplicationBitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellites: speculation, priorities, retention.
-
-TEST(Service, SpeculativeDuplicationKeepsResultsBitwise) {
-  const service::JobSpec spec = makeSpec("rosenbrock", 4, "pc", 2026, 12);
-  const core::OptimizationResult solo = soloRun(spec);
-
-  // Worker 0 drags every task out by 150 ms; with the factor at 2 the
-  // driver re-dispatches its shards to the fast worker, whose identical
-  // counter-keyed payload wins. The result must not betray any of it.
-  Harness h(1, 2, 150ms);
-  h.opts.speculativeFactor = 2.0;
-  h.start();
-  service::ServiceClient client("127.0.0.1", h.comm.port());
-  const service::StatusReply ack = client.submit(spec);
-  ASSERT_EQ(ack.state, service::JobState::Queued);
-  const service::ResultReply result = client.waitResult(90.0);
-  ASSERT_EQ(result.state, service::JobState::Done) << result.detail;
-  ASSERT_TRUE(result.outcome.has_value());
-  expectBitwiseEqual(*result.outcome, solo);
-}
+// Satellites: priorities, retention.
 
 TEST(TicketExchange, WeightedDrainIsProportionalAndStarvationFree) {
   service::TicketExchange ex;

@@ -6,6 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "simd/isa.hpp"
 #include "telemetry/sink.hpp"
@@ -148,7 +151,7 @@ TEST(Cli, WaterRunsQuickConfiguration) {
 
 TEST(Cli, MdRunsQuickSimulation) {
   const auto r = cli({"md", "--molecules", "8", "--equilibration", "20", "--production",
-                      "40", "--cutoff", "3.0", "--force-threads", "2"});
+                      "40", "--cutoff", "3.0"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("molecules,"), std::string::npos);
   EXPECT_NE(r.out.find("force path:"), std::string::npos);
@@ -157,7 +160,72 @@ TEST(Cli, MdRunsQuickSimulation) {
 
 TEST(Cli, MdRejectsBadInput) {
   EXPECT_EQ(cli({"md", "--molecules", "0"}).code, 2);
-  EXPECT_EQ(cli({"md", "--force-threads", "0"}).code, 2);
+}
+
+TEST(Cli, UnknownFlagsAreUsageErrors) {
+  // Removed flags and a misspelling each exit 2 before any work starts
+  // (no simulation, no listening socket, no connect attempt).
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"md", "--molecules", "8", "--force-threads", "2"}, "force-threads"},
+      {{"serve", "--daemon", "--port", "0", "--speculative-factor", "2"}, "speculative-factor"},
+      {{"worker", "--port", "7600", "--job-cache", "8"}, "job-cache"},
+      {{"optimize", "--function", "sphere", "--dim", "2", "--sigam0", "5"}, "sigam0"},
+  };
+  for (const auto& [argv, flag] : cases) {
+    const auto r = cli(argv);
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find("unknown flag --" + flag), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << flag;
+  }
+  // Each mode of serve reads its own flags.
+  EXPECT_EQ(cli({"serve", "--daemon", "--port", "0", "--function", "sphere"}).code, 2);
+  EXPECT_EQ(cli({"serve", "--port", "0", "--max-jobs", "1"}).code, 2);
+}
+
+TEST(Cli, CiAndVerifyRecipeCommandLinesParse) {
+  // The command lines the CI smokes and the verify recipe run, minus the
+  // shell plumbing: every flag on them must be one its command reads.
+  const std::vector<std::vector<std::string>> lines = {
+      {"optimize", "--function", "sphere", "--dim", "2", "--algorithm", "mn", "--sigma0", "1",
+       "--mw", "--max-iterations", "40", "--max-samples", "50000"},
+      {"optimize", "--function", "rosenbrock", "--dim", "4", "--algorithm", "pc",
+       "--max-iterations", "40", "--checkpoint", "c.ckpt", "--checkpoint-every", "5",
+       "--shard-min-samples", "64", "--speculate", "--clients", "3", "--isa", "scalar"},
+      {"serve", "--port", "7601", "--workers", "2", "--function", "sphere", "--dim", "2",
+       "--algorithm", "mn", "--sigma0", "1", "--max-iterations", "40", "--max-samples",
+       "50000", "--telemetry-out", "master.trace.jsonl", "--telemetry-flush", "0"},
+      {"serve", "--port", "7602", "--workers", "2", "--function", "sphere", "--dim", "2",
+       "--algorithm", "mn", "--sigma0", "1", "--max-iterations", "40", "--max-samples",
+       "50000", "--shard-min-samples", "64", "--speculate", "--clients", "3",
+       "--recv-timeout", "2"},
+      {"serve", "--port", "7605", "--workers", "2", "--function", "rastrigin", "--dim", "2",
+       "--algorithm", "mn", "--sigma0", "1", "--max-iterations", "160", "--max-samples",
+       "600000000", "--heartbeat-interval", "0.5", "--heartbeat-timeout", "3"},
+      {"serve", "--daemon", "--port", "7603", "--max-jobs", "2", "--telemetry-out",
+       "daemon.trace.jsonl", "--telemetry-flush", "0"},
+      {"serve", "--daemon", "--port", "7604", "--state-dir", "state", "--checkpoint-interval",
+       "3", "--max-concurrent", "1", "--max-queued", "0", "--result-retention", "8"},
+      {"worker", "--port", "7601", "--telemetry-out", "worker1.trace.jsonl",
+       "--telemetry-flush", "0"},
+      {"worker", "--port", "7606", "--heartbeat-interval", "0.5", "--master-timeout", "3",
+       "--reconnect", "false"},
+      {"submit", "--port", "7603", "--function", "rosenbrock", "--dim", "4", "--algorithm",
+       "pc", "--max-iterations", "40"},
+      {"submit", "--port", "7604", "--detach", "--function", "rastrigin", "--dim", "2",
+       "--algorithm", "mn", "--sigma0", "1", "--max-iterations", "160", "--max-samples",
+       "600000000", "--seed", "99", "--priority", "5"},
+      {"status", "--port", "7604", "--job", "1", "--result"},
+      {"cancel", "--port", "7617", "--job", "2"},
+      {"chaosproxy", "--port", "7606", "--target-port", "7605", "--scenario",
+       "delay-duplicate", "--seed", "2026"},
+      {"md", "--molecules", "216", "--equilibration", "50", "--production", "100", "--isa",
+       "scalar", "--json"},
+      {"metrics", "recovery.jsonl"},
+      {"trace", "master.trace.jsonl", "worker1.trace.jsonl", "--verify", "--top", "3"},
+  };
+  for (const auto& argv : lines) {
+    EXPECT_NO_THROW((void)parseCommandLine(argv)) << argv[0] << " " << argv[1];
+  }
 }
 
 TEST(Cli, WaterRejectsUnknownAlgorithm) {

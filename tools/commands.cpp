@@ -307,8 +307,6 @@ int runServeDaemon(const Args& args, std::ostream& out) {
   if (svcOpts.checkpointInterval < 0) throw ArgError("--checkpoint-interval must be >= 0");
   svcOpts.resultRetention = args.getInt("result-retention", 0);
   if (svcOpts.resultRetention < 0) throw ArgError("--result-retention must be >= 0");
-  svcOpts.speculativeFactor = args.getDouble("speculative-factor", 0.0);
-  if (svcOpts.speculativeFactor < 0.0) throw ArgError("--speculative-factor must be >= 0");
   svcOpts.log = &out;
 
   CliTelemetry telemetrySession = CliTelemetry::open(args, "serve");
@@ -370,6 +368,72 @@ void printStatusReply(std::ostream& out, const service::StatusReply& reply) {
   if (reply.retryable) out << " (retryable)";
   out << "\n";
   out << "load:     " << reply.queued << " queued, " << reply.running << " running\n";
+}
+
+/// Every flag `args.command()` reads; parseCommandLine rejects any other.
+/// `serve --daemon` reads a different set from one-shot `serve`.  An empty
+/// list (info, or an unknown command) skips the check.
+std::vector<std::string> acceptedFlags(const Args& args) {
+  using Flags = std::vector<std::string>;
+  const auto join = [](std::initializer_list<Flags> groups) {
+    Flags all;
+    for (const Flags& g : groups) all.insert(all.end(), g.begin(), g.end());
+    return all;
+  };
+  const Flags telemetry = {"telemetry-out", "telemetry-append", "telemetry-flush"};
+  const Flags termination = {"tolerance", "max-iterations", "max-samples", "max-time"};
+  const Flags pipeline = {"shard-min-samples", "speculate"};
+  // The objective, start simplex and algorithm of optimize, serve and submit.
+  const Flags job = join({{"function", "dim", "sigma0", "seed", "start", "box", "algorithm",
+                           "k", "k1", "k2"},
+                          termination,
+                          pipeline});
+  const Flags heartbeat = {"heartbeat-interval", "heartbeat-timeout"};
+  const Flags client = {"host", "port", "connect-timeout"};
+  const std::string& cmd = args.command();
+  if (cmd == "optimize") {
+    return join({job, telemetry,
+                 {"isa", "trace", "resume", "checkpoint", "checkpoint-every", "particles",
+                  "temperature", "mw", "workers", "clients"}});
+  }
+  if (cmd == "serve" && args.getBool("daemon", false)) {
+    return join({telemetry, heartbeat,
+                 {"isa", "daemon", "port", "workers", "wait-timeout", "recv-timeout",
+                  "max-concurrent", "max-queued", "max-pending-shards", "max-jobs", "state-dir",
+                  "checkpoint-interval", "result-retention"}});
+  }
+  if (cmd == "serve") {
+    return join({job, telemetry, heartbeat,
+                 {"isa", "daemon", "port", "workers", "clients", "wait-timeout",
+                  "recv-timeout"}});
+  }
+  if (cmd == "submit") {
+    return join({job, client, {"clients", "priority", "detach", "wait-timeout"}});
+  }
+  if (cmd == "status") return join({client, {"job", "result"}});
+  if (cmd == "cancel") return join({client, {"job"}});
+  if (cmd == "worker") {
+    return join({telemetry,
+                 {"isa", "host", "port", "connect-attempts", "reconnect", "config-timeout",
+                  "heartbeat-interval", "master-timeout"}});
+  }
+  if (cmd == "chaosproxy") {
+    return join(
+        {telemetry, {"port", "target-host", "target-port", "scenario", "seed", "duration"}});
+  }
+  if (cmd == "water") {
+    return join({termination, pipeline, telemetry, {"isa", "sigma0", "algorithm"}});
+  }
+  if (cmd == "probe") return {"function", "dim", "sigma0", "seed", "point", "samples"};
+  if (cmd == "md") {
+    return join({telemetry,
+                 {"isa", "json", "molecules", "temperature", "density", "dt", "cutoff",
+                  "equilibration", "production", "sample-every", "seed", "epsilon", "sigma",
+                  "qh"}});
+  }
+  if (cmd == "metrics") return {"in"};
+  if (cmd == "trace") return {"top", "verify"};
+  return {};
 }
 
 }  // namespace
@@ -533,9 +597,7 @@ int runMdCommand(const Args& args, std::ostream& out) {
   cfg.productionSteps = static_cast<int>(args.getInt("production", 400));
   cfg.sampleEvery = static_cast<int>(args.getInt("sample-every", 10));
   cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 12345));
-  cfg.forceThreads = static_cast<int>(args.getInt("force-threads", 1));
   if (cfg.molecules < 1) throw ArgError("--molecules must be >= 1");
-  if (cfg.forceThreads < 1) throw ArgError("--force-threads must be >= 1");
 
   md::WaterParameters params = md::tip4pPublished();
   params.epsilon = args.getDouble("epsilon", params.epsilon);
@@ -550,9 +612,11 @@ int runMdCommand(const Args& args, std::ostream& out) {
   if (args.getBool("json", false)) {
     // Stable machine-readable report: one flat JSON object per run, in the
     // same wire form as the telemetry JSONL (parseJsonLine round-trips it).
+    // Assigned from std::string temporaries: GCC 12 misreports the plain
+    // literal assignments here as -Wmaybe-uninitialized.
     telemetry::Event e;
-    e.type = "md_report";
-    e.name = "md";
+    e.type = std::string("md_report");
+    e.name = std::string("md");
     e.numFields = {
         {"molecules", static_cast<double>(cfg.molecules)},
         {"equilibration_steps", static_cast<double>(cfg.equilibrationSteps)},
@@ -568,7 +632,6 @@ int runMdCommand(const Args& args, std::ostream& out) {
         {"force_evaluations", static_cast<double>(obs.perf.forceEvaluations)},
         {"pairs_per_evaluation", obs.perf.pairsPerEvaluation()},
         {"neighbor_rebuilds", static_cast<double>(obs.perf.neighborRebuilds)},
-        {"force_threads", static_cast<double>(obs.perf.forceThreads)},
         {"cell_list_used", obs.perf.cellListUsed ? 1.0 : 0.0},
     };
     out << telemetry::toJsonLine(e) << "\n";
@@ -585,8 +648,8 @@ int runMdCommand(const Args& args, std::ostream& out) {
   out << "D:            " << obs.diffusionCm2PerS << " cm^2/s\n";
   out << "NVE drift:    " << obs.nveDriftKcalPerPs << " kcal/mol/ps\n";
   const md::MdPerfCounters& perf = obs.perf;
-  out << "force path:   " << perf.forceThreads << " thread(s), "
-      << (perf.cellListUsed ? "cell-list" : "brute-force") << " neighbor build";
+  out << "force path:   " << (perf.cellListUsed ? "cell-list" : "brute-force")
+      << " neighbor build";
   if (perf.cellListUsed) {
     out << " (" << perf.cellsPerDim << "^3 cells, avg occupancy " << perf.avgCellOccupancy
         << ")";
@@ -731,8 +794,7 @@ int runWorkerCommand(const Args& args, std::ostream& out) {
         // unpack — just serve until shutdown.
         out << "service:  multi-tenant worker (objectives arrive per task)\n"
             << std::flush;
-        service::ServiceWorker worker(*transport, rank,
-                                      static_cast<int>(args.getInt("job-cache", 4)));
+        service::ServiceWorker worker(*transport, rank);
         serve(worker) << " (" << worker.cacheMisses() << " objective build(s))\n";
       } else if (schema == "noisy-v1") {
         const std::string fn = cfg.unpackString();
@@ -1144,7 +1206,7 @@ int runInfoCommand(const Args&, std::ostream& out) {
   out << "           [--max-jobs K]   (multi-tenant service; jobs via submit)\n";
   out << "           [--state-dir DIR] [--checkpoint-interval I] (durable: journal\n";
   out << "           + checkpoints; a restarted daemon resumes its jobs)\n";
-  out << "           [--result-retention N] [--speculative-factor F]\n";
+  out << "           [--result-retention N]\n";
   out << "  submit   --host H --port P --function F --dim D --algorithm A ...\n";
   out << "           [--detach] [--priority 1..100] (same flags/defaults as optimize)\n";
   out << "  status   --host H --port P [--job N] [--result]  (N omitted = summary;\n";
@@ -1156,8 +1218,7 @@ int runInfoCommand(const Args&, std::ostream& out) {
   out << "           [--seed N] [--duration S]  (fault-injecting relay for tests)\n";
   out << "  water    --algorithm mn|pc|pcmn --sigma0 S\n";
   out << "  probe    --function F --dim D --point x,y,... --samples N\n";
-  out << "  md       --molecules N --force-threads T --equilibration E --production P "
-         "[--json]\n";
+  out << "  md       --molecules N --equilibration E --production P [--json]\n";
   out << "  metrics  <file.jsonl>  (summarize a --telemetry-out capture)\n";
   out << "  trace    <master.jsonl> [worker.jsonl ...] [--verify] [--top N]\n";
   out << "  info\n";
@@ -1176,9 +1237,13 @@ int runInfoCommand(const Args&, std::ostream& out) {
   return 0;
 }
 
+Args parseCommandLine(const std::vector<std::string>& argv) {
+  return Args::parse(argv, acceptedFlags(Args::parse(argv)));
+}
+
 int runCli(const std::vector<std::string>& argv, std::ostream& out, std::ostream& err) {
   try {
-    const Args args = Args::parse(argv);
+    const Args args = parseCommandLine(argv);
     const std::string& cmd = args.command();
     if (cmd == "optimize") return runOptimizeCommand(args, out);
     if (cmd == "serve") return runServeCommand(args, out);

@@ -56,8 +56,7 @@ int runProbeCommand(const Args& args, std::ostream& out);
 
 /// `sfopt md` — run one NVT/NVE water protocol directly (the per-sample
 /// kernel of the MD-backed objective); reports observables and the
-/// force-path perf counters, including the `--force-threads` parallel
-/// nonbonded loop and the cell-list neighbor build.
+/// force-path perf counters, including the cell-list neighbor build.
 int runMdCommand(const Args& args, std::ostream& out);
 
 /// `sfopt metrics` — summarize a `--telemetry-out` JSONL capture: span
@@ -74,6 +73,11 @@ int runTraceCommand(const Args& args, std::ostream& out);
 
 /// `sfopt info` — list algorithms, functions and build configuration.
 int runInfoCommand(const Args& args, std::ostream& out);
+
+/// Parse a command line, accepting only the flags its command reads: any
+/// other flag throws ArgError("unknown flag --X"), so a misspelled flag is
+/// a usage error instead of being silently ignored.
+[[nodiscard]] Args parseCommandLine(const std::vector<std::string>& argv);
 
 /// Dispatch on args.command(); prints usage on unknown/missing commands.
 int runCli(const std::vector<std::string>& argv, std::ostream& out, std::ostream& err);
