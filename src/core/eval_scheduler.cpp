@@ -16,9 +16,6 @@ EvalScheduler::EvalScheduler(SamplingBackend& backend, Options options)
   if (options_.shardMinSamples < 0) {
     throw std::invalid_argument("EvalScheduler: shardMinSamples must be >= 0");
   }
-  if (options_.maxOutstandingShards < 0 || options_.maxStagedEntries < 0) {
-    throw std::invalid_argument("EvalScheduler: caps must be >= 0");
-  }
   if (options_.telemetry != nullptr) {
     auto& reg = options_.telemetry->metrics();
     telShardsPerBatch_ =
@@ -30,14 +27,8 @@ EvalScheduler::EvalScheduler(SamplingBackend& backend, Options options)
   }
 }
 
-int EvalScheduler::resolvedOutstandingCap() const {
-  if (options_.maxOutstandingShards > 0) return options_.maxOutstandingShards;
-  return 2 * std::max(backend_.parallelism(), 1);
-}
-
-int EvalScheduler::resolvedStagingCap() const {
-  if (options_.maxStagedEntries > 0) return options_.maxStagedEntries;
-  return resolvedOutstandingCap();
+std::size_t EvalScheduler::speculationCap() const {
+  return 2 * static_cast<std::size_t>(std::max(backend_.parallelism(), 1));
 }
 
 std::int64_t EvalScheduler::plannedShards(std::int64_t count) const {
@@ -168,7 +159,7 @@ void EvalScheduler::evictSuperseded(std::uint64_t vertexId, std::uint64_t consum
 }
 
 void EvalScheduler::enforceStagingCap() {
-  const auto cap = static_cast<std::size_t>(resolvedStagingCap());
+  const std::size_t cap = speculationCap();
   while (staged_.size() > cap) {
     dropEntry(staged_.front());
     staged_.pop_front();
@@ -228,7 +219,7 @@ std::vector<stats::Welford> EvalScheduler::evaluate(
   // Launch the next round's predicted batches before blocking, so workers
   // have something to chew on while we wait, merge, and decide.
   if (options_.speculate) {
-    const auto cap = static_cast<std::size_t>(resolvedOutstandingCap());
+    const std::size_t cap = speculationCap();
     for (const auto& h : hints) {
       if (h.count <= 0) continue;
       const BatchKey key{h.vertexId, h.startIndex, h.count};

@@ -47,10 +47,11 @@ namespace sfopt::core {
 ///    is evicted without ever touching the trajectory, so speculation is
 ///    invisible to the paper's time accounting.
 ///
-/// Memory is bounded: speculative submits stop when the in-flight ticket
-/// count reaches maxOutstandingShards, and the staging buffer holds at
-/// most maxStagedEntries batches (oldest evicted first; evicting an entry
-/// with tickets still in flight is safe — their completions are dropped).
+/// Memory is bounded by 2 x backend parallelism, read on every call (one
+/// round ahead): speculative submits stop when the in-flight ticket count
+/// would pass it, and the staging buffer holds at most that many batches
+/// (oldest evicted first; evicting an entry with tickets still in flight
+/// is safe — their completions are dropped).
 class EvalScheduler {
  public:
   struct Options {
@@ -59,12 +60,6 @@ class EvalScheduler {
     std::int64_t shardMinSamples = 0;
     /// Honor prefetch hints; off = hints are ignored.
     bool speculate = false;
-    /// Cap on in-flight tickets before speculative submits are skipped;
-    /// 0 = 2 x backend parallelism, the "one round ahead" sweet spot.
-    int maxOutstandingShards = 0;
-    /// Cap on staged (completed or in-flight) speculative batches;
-    /// 0 = same resolved value as maxOutstandingShards.
-    int maxStagedEntries = 0;
     /// Observability spine (non-owning).  Registers eval.shards_per_batch,
     /// eval.speculation_hits / _misses (counted only while speculating) and
     /// the eval.speculation_hit_rate gauge, the rate over those spine-wide
@@ -147,8 +142,8 @@ class EvalScheduler {
   void enforceStagingCap();
   void dropEntry(const BatchKey& key);
 
-  [[nodiscard]] int resolvedOutstandingCap() const;
-  [[nodiscard]] int resolvedStagingCap() const;
+  /// The in-flight ticket cap and the staging cap: 2 x parallelism.
+  [[nodiscard]] std::size_t speculationCap() const;
 
   SamplingBackend& backend_;
   Options options_;

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace sfopt::mw {
 
-VertexServer::VertexServer(const noise::StochasticObjective& objective, int clients)
+VertexServer::VertexServer(const noise::StochasticObjective& objective, std::int64_t clients)
     : objective_(objective) {
-  if (clients < 1) throw std::invalid_argument("VertexServer: clients must be >= 1");
+  if (clients < 1 || clients > kMaxVertexClients) {
+    throw std::invalid_argument("VertexServer: clients must be in 1.." +
+                                std::to_string(kMaxVertexClients));
+  }
   const auto n = static_cast<std::size_t>(clients);
   clientSamples_.assign(n, 0);
   partialChunks_.resize(n);

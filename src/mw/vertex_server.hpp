@@ -13,6 +13,10 @@
 
 namespace sfopt::mw {
 
+/// Most clients (Ns) one vertex server runs; each beyond the first is a
+/// helper thread.  Every caller in the repo uses Ns <= 4.
+inline constexpr std::int64_t kMaxVertexClients = 64;
+
 /// The vertex-level tier of the paper's architecture (section 4.3): each
 /// MW worker is paired with a *server* that coordinates Ns *client*
 /// processes, each running one sampling simulation.  "Each vertex has one
@@ -31,7 +35,9 @@ namespace sfopt::mw {
 /// between batches, on the calling thread.
 class VertexServer {
  public:
-  VertexServer(const noise::StochasticObjective& objective, int clients);
+  /// Throws std::invalid_argument, before starting any thread, unless
+  /// 1 <= clients <= kMaxVertexClients.
+  VertexServer(const noise::StochasticObjective& objective, std::int64_t clients);
   ~VertexServer();
 
   VertexServer(const VertexServer&) = delete;

@@ -87,10 +87,6 @@ void TcpCommWorld::wake() noexcept {
   }
 }
 
-void TcpCommWorld::setGreeting(int tag, mw::MessageBuffer payload) {
-  greeting_ = {tag, payload.releaseWire()};
-}
-
 int TcpCommWorld::liveWorkers() const noexcept {
   int n = 0;
   for (const auto& p : peers_) n += p->alive ? 1 : 0;
@@ -266,10 +262,6 @@ void TcpCommWorld::promotePending(std::size_t index) {
   const Rank rank = static_cast<Rank>(peers_.size());
   NetTelemetry::add(tel_.connects);
   enqueueToPeer(rank, makeWelcomeFrame(rank, size()));
-  if (greeting_.has_value()) {
-    enqueueToPeer(rank, makeMessageFrame(greeting_->first,
-                                         std::vector<std::byte>(greeting_->second)));
-  }
   Message joined;
   joined.source = rank;
   joined.tag = kTagWorkerJoined;
@@ -439,12 +431,6 @@ void TcpCommWorld::sendToClient(int client, FrameType type, mw::MessageBuffer pa
   NetTelemetry::add(tel_.framesOut);
   NetTelemetry::add(tel_.bytesOut, static_cast<std::int64_t>(c.sendBuf.size() - before));
   flushClient(client);
-}
-
-int TcpCommWorld::connectedClients() const noexcept {
-  int n = 0;
-  for (const auto& c : clients_) n += c->alive ? 1 : 0;
-  return n;
 }
 
 void TcpCommWorld::pump(double timeoutSeconds) { pollOnce(timeoutSeconds); }
@@ -696,8 +682,8 @@ TcpWorkerTransport::TcpWorkerTransport(const std::string& host, std::uint16_t po
     std::lock_guard lock(sendMutex_);
     writeFrameLocked(makeHelloFrame(), /*nothrow=*/false);
   }
-  // Wait for the Welcome.  Frames decoded in the same read (the greeting
-  // or a first task often ride its segment) are queued for recv().
+  // Wait for the Welcome.  Frames decoded in the same read (a first task
+  // may ride its segment) are queued for recv().
   const double deadline = monotonicSeconds() + options_.handshakeTimeoutSeconds;
   while (rank_ < 0) {
     const double remaining = deadline - monotonicSeconds();

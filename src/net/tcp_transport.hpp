@@ -142,11 +142,6 @@ class TcpCommWorld final : public Transport {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  /// Message delivered to every worker right after its Welcome (and again
-  /// to every later joiner) — the application uses this to push the
-  /// objective/deployment configuration without a separate exchange.
-  void setGreeting(int tag, mw::MessageBuffer payload);
-
   /// Block until `count` workers are connected and registered (or throw
   /// std::runtime_error after `timeoutSeconds`).  Returns the live count.
   int waitForWorkers(int count, double timeoutSeconds);
@@ -171,9 +166,6 @@ class TcpCommWorld final : public Transport {
   /// Send a Job* reply to a client; silently dropped when the client is
   /// gone (mirrors send()'s contract for lost workers).
   void sendToClient(int client, FrameType type, mw::MessageBuffer payload);
-
-  /// Clients currently connected (registered and not yet closed).
-  [[nodiscard]] int connectedClients() const noexcept;
 
   /// Drive one pass of the event loop without receiving: accepts joiners,
   /// reads client/worker frames into the inboxes, flushes pending writes,
@@ -270,7 +262,6 @@ class TcpCommWorld final : public Transport {
   std::vector<std::unique_ptr<ClientPeer>> clients_;  ///< index = client id - 1
   std::deque<Message> inbox_;
   std::deque<ClientRequest> clientInbox_;
-  std::optional<std::pair<int, std::vector<std::byte>>> greeting_;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t bytesSent_ = 0;
   std::uint64_t messagesReceived_ = 0;

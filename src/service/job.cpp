@@ -3,8 +3,10 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
+#include "mw/vertex_server.hpp"
 #include "testfunctions/functions.hpp"
 
 namespace sfopt::service {
@@ -19,7 +21,8 @@ FnPtr lookupFunction(const std::string& name) {
   if (name == "sphere") return &testfunctions::sphere;
   if (name == "rastrigin") return &testfunctions::rastrigin;
   if (name == "quadratic") return &testfunctions::quadraticBowl;
-  throw std::runtime_error("unknown objective function '" + name + "'");
+  throw std::runtime_error("unknown objective function '" + name +
+                           "' (try rosenbrock, powell, sphere, rastrigin, quadratic)");
 }
 
 void packBool(mw::MessageBuffer& buf, bool v) {
@@ -110,7 +113,11 @@ void JobSpec::validate() const {
   if (objective.function == "powell" && objective.dim != 4) {
     throw std::runtime_error("job spec: powell requires dim 4");
   }
-  if (objective.clients < 1) throw std::runtime_error("job spec: clients must be >= 1");
+  if (objective.clients < 1 || objective.clients > mw::kMaxVertexClients) {
+    throw std::runtime_error("job spec: clients must be in 1.." +
+                             std::to_string(mw::kMaxVertexClients) + ", not " +
+                             std::to_string(objective.clients));
+  }
   if (!(std::isfinite(objective.sigma0) && objective.sigma0 >= 0.0)) {
     throw std::runtime_error("job spec: sigma0 must be finite and >= 0");
   }

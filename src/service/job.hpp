@@ -35,7 +35,8 @@ inline constexpr int kJobTraceShift = 40;
 
 /// Everything a worker needs to reconstruct a job's objective, carried on
 /// every sampling task so one worker serves many jobs with no per-job
-/// handshake.  `clients` sizes the worker-side VertexServer pool.
+/// handshake.  `clients` sizes the worker-side VertexServer pool
+/// (1..mw::kMaxVertexClients).
 struct ObjectiveSpec {
   std::string function = "rosenbrock";
   std::int64_t dim = 4;

@@ -151,17 +151,23 @@ std::int64_t OptimizationService::run(const std::atomic<bool>& stop) {
     handleClients();
     promoteQueued();
     pumpShards();
-    progress();
     if (journalBytes_ != nullptr && durable_ != nullptr) {
       journalBytes_->set(static_cast<double>(durable_->journalBytes()));
     }
+    // Before the poll: the pass that finalizes the last budgeted job must
+    // not wait out kLoopWaitSeconds before it exits.
     if (opts_.maxJobs > 0 && table_.completedCount() >= opts_.maxJobs &&
         !table_.anyActive()) {
       break;
     }
+    progress();
   }
   shutdownAll();
   return table_.completedCount();
+}
+
+std::uint64_t OptimizationService::tasksRequeued() const noexcept {
+  return retiredRequeues_ + (driver_ != nullptr ? driver_->tasksRequeued() : 0);
 }
 
 void OptimizationService::ensureDriver() {
@@ -278,52 +284,54 @@ void OptimizationService::handleClients() {
 }
 
 void OptimizationService::handleSubmit(net::TcpCommWorld::ClientRequest& req) {
-  StatusReply reply;
-  reply.queued = table_.queuedCount();
-  reply.running = table_.runningCount();
   JobSpec spec;
   try {
     spec = JobSpec::unpack(req.payload);
+  } catch (const std::exception& e) {
+    sendStatus(req.client, rejection(e.what(), false));
+    return;
+  }
+  sendStatus(req.client, submit(std::move(spec), req.client));
+}
+
+StatusReply OptimizationService::rejection(std::string detail, bool retryable) {
+  StatusReply reply;
+  reply.state = JobState::Rejected;
+  reply.retryable = retryable;
+  reply.detail = std::move(detail);
+  reply.queued = table_.queuedCount();
+  reply.running = table_.runningCount();
+  if (jobsRejected_ != nullptr) jobsRejected_->add(1);
+  return reply;
+}
+
+StatusReply OptimizationService::submit(JobSpec spec, int client) {
+  try {
     spec.validate();
   } catch (const std::exception& e) {
-    reply.state = JobState::Rejected;
-    reply.retryable = false;
-    reply.detail = e.what();
-    if (jobsRejected_ != nullptr) jobsRejected_->add(1);
-    sendStatus(req.client, reply);
-    return;
+    return rejection(e.what(), false);
   }
   if (exchange_.pendingShards() > opts_.maxPendingShards) {
-    reply.state = JobState::Rejected;
-    reply.retryable = true;
-    reply.detail = "shard backlog over " + std::to_string(opts_.maxPendingShards) +
-                   "; retry later";
-    if (jobsRejected_ != nullptr) jobsRejected_->add(1);
-    sendStatus(req.client, reply);
-    return;
+    return rejection("shard backlog over " + std::to_string(opts_.maxPendingShards) +
+                         "; retry later",
+                     true);
   }
-  const Admission a = table_.admit(std::move(spec), req.client, telNow());
-  if (!a.accepted) {
-    reply.state = JobState::Rejected;
-    reply.retryable = a.retryable;
-    reply.detail = a.message;
-    if (jobsRejected_ != nullptr) jobsRejected_->add(1);
-    sendStatus(req.client, reply);
-    return;
-  }
+  const Admission a = table_.admit(std::move(spec), client, telNow());
+  if (!a.accepted) return rejection(a.message, a.retryable);
   if (jobsSubmitted_ != nullptr) jobsSubmitted_->add(1);
   JobRecord* rec = table_.find(a.jobId);
   if (durable_ != nullptr) durable_->recordSubmitted(a.jobId, rec->spec);
   logLine("job " + std::to_string(a.jobId) + ": queued (" + rec->spec.algorithm + " " +
           rec->spec.objective.function + " dim " +
-          std::to_string(rec->spec.objective.dim) + ", client " +
-          std::to_string(req.client) + ")");
+          std::to_string(rec->spec.objective.dim) + ", client " + std::to_string(client) +
+          ")");
+  StatusReply reply;
   reply.jobId = a.jobId;
   reply.state = JobState::Queued;
   reply.detail = a.message;
   reply.queued = table_.queuedCount();
   reply.running = table_.runningCount();
-  sendStatus(req.client, reply);
+  return reply;
 }
 
 void OptimizationService::handleStatus(net::TcpCommWorld::ClientRequest& req) {
@@ -532,6 +540,7 @@ void OptimizationService::fleetFailure(const std::string& what) {
     }
   }
   routes_.clear();
+  retiredRequeues_ += driver_->tasksRequeued();
   driver_.reset();
   stalledSince_ = -1.0;
 }

@@ -91,11 +91,22 @@ class OptimizationService {
   OptimizationService(const OptimizationService&) = delete;
   OptimizationService& operator=(const OptimizationService&) = delete;
 
+  /// Admission, as a client's JobSubmit takes it: validate `spec`, check
+  /// the shard backlog and the table's capacity, then queue and journal
+  /// the job.  `client` receives the job's result frame; -1 = nobody (a
+  /// job from the daemon's own command line).  Call from the thread that
+  /// runs run(), or before it.
+  StatusReply submit(JobSpec spec, int client = -1);
+
   /// Serve until `stop` is set or the maxJobs budget completes.  Returns
   /// the number of jobs that reached a terminal state.
   std::int64_t run(const std::atomic<bool>& stop);
 
   [[nodiscard]] JobTable& table() noexcept { return table_; }
+
+  /// Tasks requeued after a worker failure or loss, over every driver
+  /// this service has run (a fleet failure replaces the driver).
+  [[nodiscard]] std::uint64_t tasksRequeued() const noexcept;
 
  private:
   struct Route {
@@ -119,6 +130,8 @@ class OptimizationService {
   void reapFinished();
   void handleClients();
   void handleSubmit(net::TcpCommWorld::ClientRequest& req);
+  /// A refusal carrying the current load, counted as rejected.
+  [[nodiscard]] StatusReply rejection(std::string detail, bool retryable);
   void handleStatus(net::TcpCommWorld::ClientRequest& req);
   void handleCancel(net::TcpCommWorld::ClientRequest& req);
   void handleResultFetch(net::TcpCommWorld::ClientRequest& req);
@@ -147,6 +160,8 @@ class OptimizationService {
   /// as queued/running on the next start instead of failed.
   bool durableShutdown_ = false;
   std::unique_ptr<mw::MWDriver> driver_;
+  /// Requeues counted by drivers a fleet failure has since dropped.
+  std::uint64_t retiredRequeues_ = 0;
   std::unordered_map<std::uint64_t, Route> routes_;  ///< driver task id -> job/ticket
   /// Monotonic time of the last completion, or of the first wait since
   /// nothing was outstanding; < 0 while nothing is.

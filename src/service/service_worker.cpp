@@ -19,8 +19,7 @@ mw::VertexServer& ServiceWorker::serverFor(std::uint64_t jobId, const ObjectiveS
   JobServer entry;
   entry.jobId = jobId;
   entry.objective = std::make_unique<noise::NoisyFunction>(spec.makeObjective());
-  entry.server = std::make_unique<mw::VertexServer>(*entry.objective,
-                                                    static_cast<int>(spec.clients));
+  entry.server = std::make_unique<mw::VertexServer>(*entry.objective, spec.clients);
   cache_.push_front(std::move(entry));
   if (cache_.size() > kCachedJobs) cache_.pop_back();
   return *cache_.front().server;

@@ -98,6 +98,8 @@ class FakeAsyncBackend final : public SamplingBackend {
   }
 
   [[nodiscard]] int parallelism() const override { return parallelism_; }
+  /// The scheduler's caps are 2 x parallelism, read on every call.
+  void setParallelism(int parallelism) { parallelism_ = parallelism; }
 
   std::vector<Recorded> recorded;
   std::size_t perPoll = 0;      ///< completions per poll; 0 = all at once
@@ -207,28 +209,34 @@ TEST(EvalScheduler, SpeculationHitReusesStagedBatch) {
 }
 
 TEST(EvalScheduler, SpeculationSkippedAtOutstandingCap) {
-  FakeAsyncBackend backend(4);
-  EvalScheduler sched(backend, {.speculate = true, .maxOutstandingShards = 1});
-  const SamplingBackend::BatchRequest demand{{}, 1, 0, 64};
+  FakeAsyncBackend backend(1);  // cap 2
+  EvalScheduler sched(backend, {.speculate = true});
+  const SamplingBackend::BatchRequest demands[] = {{{}, 1, 0, 64}, {{}, 4, 0, 64}};
   const SamplingBackend::BatchRequest hint{{}, 2, 0, 64};
-  (void)sched.evaluate({&demand, 1}, {&hint, 1});
-  // The demand ticket already fills the cap, so the hint never launches.
-  EXPECT_EQ(backend.recorded.size(), 1u);
+  (void)sched.evaluate(demands, {&hint, 1});
+  // The two demand tickets already fill the cap, so the hint never launches.
+  EXPECT_EQ(backend.recorded.size(), 2u);
   EXPECT_EQ(sched.speculationSkipped(), 1u);
   EXPECT_EQ(sched.stagedBatches(), 0u);
 }
 
 TEST(EvalScheduler, StagingCapEvictsOldestWithoutCorruptingResults) {
-  FakeAsyncBackend backend(4);
-  EvalScheduler sched(backend,
-                      {.speculate = true, .maxOutstandingShards = 16, .maxStagedEntries = 1});
+  FakeAsyncBackend backend(2);  // cap 4
+  EvalScheduler sched(backend, {.speculate = true});
   const SamplingBackend::BatchRequest demand{{}, 1, 0, 64};
   const SamplingBackend::BatchRequest hintB{{}, 2, 0, 64};
   const SamplingBackend::BatchRequest hintC{{}, 3, 0, 64};
-  const SamplingBackend::BatchRequest hints[] = {hintB, hintC};
+  const SamplingBackend::BatchRequest hintD{{}, 4, 0, 64};
+  const SamplingBackend::BatchRequest hints[] = {hintB, hintC, hintD};
   (void)sched.evaluate({&demand, 1}, hints);
-  // Both hints were submitted; the cap of 1 evicted the older one (B).
-  EXPECT_EQ(sched.stagedBatches(), 1u);
+  EXPECT_EQ(sched.stagedBatches(), 3u);
+
+  // The cap shrinks to 2 with the fleet: the next call evicts the oldest
+  // staged batch (B).
+  backend.setParallelism(1);
+  const SamplingBackend::BatchRequest other{{}, 5, 0, 64};
+  (void)sched.evaluate({&other, 1});
+  EXPECT_EQ(sched.stagedBatches(), 2u);
   EXPECT_EQ(sched.stagedEvicted(), 1u);
 
   // B is a miss (resubmitted) and still bitwise correct; C is a hit.
@@ -266,30 +274,34 @@ TEST(EvalScheduler, StaleTicketFromEvictedEntryCannotCorruptRecreatedEntry) {
   // the fill counter could reach the total while another chunk slot is
   // still an empty Welford — silently losing samples.  The generation
   // guard must drop the stale completion instead.
-  FakeAsyncBackend backend(2);
+  FakeAsyncBackend backend(2);  // cap 4; K shards in two
   backend.holdCompletions = true;
-  EvalScheduler sched(backend, {.shardMinSamples = 64,
-                                .speculate = true,
-                                .maxOutstandingShards = 16,
-                                .maxStagedEntries = 1});
+  EvalScheduler sched(backend, {.shardMinSamples = 64, .speculate = true});
   const SamplingBackend::BatchRequest hintK{{}, 9, 0, 128};  // 2 shards: tickets 1, 2
   (void)sched.evaluate({}, {&hintK, 1});
   ASSERT_EQ(backend.recorded.size(), 2u);
-  const SamplingBackend::BatchRequest hintB{{}, 10, 0, 64};  // ticket 3; evicts K
-  (void)sched.evaluate({}, {&hintB, 1});
+  const SamplingBackend::BatchRequest hintB{{}, 10, 0, 64};  // ticket 3
+  const SamplingBackend::BatchRequest hintC{{}, 12, 0, 64};  // ticket 4
+  const SamplingBackend::BatchRequest later[] = {hintB, hintC};
+  (void)sched.evaluate({}, later);
+  ASSERT_EQ(backend.recorded.size(), 4u);
+  // Shrinking the cap to 2 evicts K, the oldest of three staged batches.
+  backend.setParallelism(1);
+  (void)sched.evaluate({}, {});
   EXPECT_EQ(sched.stagedEvicted(), 1u);
 
-  // Demand K again (tickets 4, 5) and deliver: stale chunk-0 (ticket 1),
-  // fresh chunk-0 (ticket 4), fresh chunk-1 (ticket 5) — the interleaving
-  // where a counter-only fill would declare the entry complete after two
-  // chunk-0 fills with chunk 1 never written.
+  // Demand K again at the old width (tickets 5, 6) and deliver: stale
+  // chunk-0 (ticket 1), fresh chunk-0 (ticket 5), fresh chunk-1 (ticket
+  // 6) — the interleaving where a counter-only fill would declare the
+  // entry complete after two chunk-0 fills with chunk 1 never written.
+  backend.setParallelism(2);
   backend.holdCompletions = false;
   backend.perPoll = 1;
-  backend.forcedOrder = {1, 4, 5};
+  backend.forcedOrder = {1, 5, 6};
   const auto results = sched.evaluate({&hintK, 1});
   expectBitwiseEqual(results[0], core::foldEvalChunks(chunksFor(9, 0, 128)));
 
-  // The leftover stale ticket (2) and the unconsumed hint (3) drain
+  // The leftover stale ticket (2) and the unconsumed hints (3, 4) drain
   // harmlessly on a later call: no entry double-fill, nothing outstanding.
   backend.perPoll = 0;
   const SamplingBackend::BatchRequest next{{}, 11, 0, 64};
@@ -302,17 +314,17 @@ TEST(EvalScheduler, SpeculativeHintCountsItsShardsAgainstTheCap) {
   // The cap bounds tickets, and one hint can submit several shards: a
   // hint whose shard count would push in-flight tickets past the cap is
   // skipped entirely, while a smaller hint that fits still launches.
-  FakeAsyncBackend backend(4);
-  EvalScheduler sched(backend, {.shardMinSamples = 64,
-                                .speculate = true,
-                                .maxOutstandingShards = 4});
-  const SamplingBackend::BatchRequest demand{{}, 1, 0, 64};  // 1 ticket in flight
-  const SamplingBackend::BatchRequest big{{}, 2, 0, 640};    // 4 shards: 1 + 4 > 4
-  const SamplingBackend::BatchRequest small{{}, 3, 0, 64};   // 1 shard: 1 + 1 <= 4
+  FakeAsyncBackend backend(2);  // cap 4
+  EvalScheduler sched(backend, {.shardMinSamples = 64, .speculate = true});
+  const SamplingBackend::BatchRequest demands[] = {
+      {{}, 1, 0, 640},  // 2 shards
+      {{}, 4, 0, 64}};  // 1 shard: 3 tickets in flight
+  const SamplingBackend::BatchRequest big{{}, 2, 0, 640};  // 2 shards: 3 + 2 > 4
+  const SamplingBackend::BatchRequest small{{}, 3, 0, 64};  // 1 shard: 3 + 1 <= 4
   const SamplingBackend::BatchRequest hints[] = {big, small};
-  (void)sched.evaluate({&demand, 1}, hints);
+  (void)sched.evaluate(demands, hints);
   EXPECT_EQ(sched.speculationSkipped(), 1u);
-  EXPECT_EQ(backend.recorded.size(), 2u);  // demand + small hint only
+  EXPECT_EQ(backend.recorded.size(), 4u);  // the demands' 3 shards + the small hint
   EXPECT_EQ(sched.stagedBatches(), 1u);
 }
 
@@ -372,7 +384,6 @@ TEST(EvalScheduler, HitRateGaugeCoversEverySchedulerOnTheSpine) {
 TEST(EvalScheduler, RejectsNegativeOptions) {
   FakeAsyncBackend backend(2);
   EXPECT_THROW(EvalScheduler(backend, {.shardMinSamples = -1}), std::invalid_argument);
-  EXPECT_THROW(EvalScheduler(backend, {.maxOutstandingShards = -1}), std::invalid_argument);
 }
 
 }  // namespace

@@ -81,6 +81,12 @@ TEST(VertexServer, RejectsZeroClients) {
   EXPECT_THROW(VertexServer(obj, 0), std::invalid_argument);
 }
 
+TEST(VertexServer, RejectsMoreClientsThanTheCap) {
+  // Refused before any helper thread starts.
+  auto obj = test::noisySphere(2, 1.0);
+  EXPECT_THROW(VertexServer(obj, mw::kMaxVertexClients + 1), std::invalid_argument);
+}
+
 TEST(VertexServer, BatchMatchesInlineSampling) {
   auto obj = test::noisySphere(2, 2.0);
   const std::vector<double> x{1.0, -1.0};

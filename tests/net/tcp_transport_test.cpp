@@ -12,7 +12,6 @@
 
 #include <sys/socket.h>
 
-#include "mw/mw_task.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "telemetry/sink.hpp"
@@ -79,21 +78,6 @@ TEST(TcpTransport, EchoRoundTrip) {
   EXPECT_GT(master.bytesSent(), 0u);
   EXPECT_EQ(master.messagesSent(), 1u);
   EXPECT_EQ(worker->messagesSent(), 1u);
-}
-
-TEST(TcpTransport, GreetingDeliveredToEveryJoiner) {
-  TcpCommWorld master(0);
-  mw::MessageBuffer cfg;
-  cfg.pack(std::string("config-blob"));
-  master.setGreeting(mw::kTagConfig, std::move(cfg));
-
-  auto w1 = joinWorker(master);
-  auto w2 = joinWorker(master);
-  for (auto* w : {w1.get(), w2.get()}) {
-    auto m = w->recvFor(w->rank(), 5.0, 0, mw::kTagConfig);
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ(m->payload.unpackString(), "config-blob");
-  }
 }
 
 TEST(TcpTransport, RecvForTimesOutCleanly) {

@@ -30,6 +30,7 @@
 #include "service/ticket_exchange.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry.hpp"
+#include "tests/tools/cli_process.hpp"
 
 // Chaos and property tests for the durable service (§9.9): journal replay
 // round-trips, torn-tail truncation at every cut point, the torn-write
@@ -84,20 +85,7 @@ void expectBitwiseEqual(const service::JobOutcome& outcome,
   EXPECT_EQ(outcome.counters.contractions, solo.counters.contractions);
 }
 
-/// Fresh directory under the system temp root, removed on scope exit.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    std::string tmpl = (fs::temp_directory_path() / "sfopt-durable-XXXXXX").string();
-    char* made = ::mkdtemp(tmpl.data());
-    if (made == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = made;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using test::TempDir;
 
 service::JobOutcome fakeOutcome(std::uint64_t salt) {
   service::JobOutcome o;
@@ -467,68 +455,6 @@ TEST(Durability, RestartRecoversFinishedRunningAndQueuedJobsBitwise) {
 // ---------------------------------------------------------------------------
 // Subprocess chaos: SIGKILL a real `sfopt serve --daemon` process.
 
-struct DaemonProcess {
-  pid_t pid = -1;
-  fs::path logPath;
-
-  void spawn(const std::vector<std::string>& args, const fs::path& log) {
-    logPath = log;
-    pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      const int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (fd >= 0) {
-        ::dup2(fd, 1);
-        ::dup2(fd, 2);
-      }
-      std::vector<char*> argv;
-      std::vector<std::string> storage = args;
-      argv.push_back(const_cast<char*>(SFOPT_CLI_PATH));
-      for (std::string& a : storage) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execv(SFOPT_CLI_PATH, argv.data());
-      std::_Exit(127);
-    }
-  }
-
-  /// Parse "listening on 0.0.0.0:<port>" out of the daemon's log.
-  std::uint16_t waitForPort(double timeoutSeconds = 20.0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(timeoutSeconds);
-    const std::string needle = "listening on 0.0.0.0:";
-    while (std::chrono::steady_clock::now() < deadline) {
-      std::ifstream in(logPath);
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      const std::size_t at = text.find(needle);
-      if (at != std::string::npos) {
-        const long port = std::strtol(text.c_str() + at + needle.size(), nullptr, 10);
-        if (port > 0 && port <= 65535) return static_cast<std::uint16_t>(port);
-      }
-      std::this_thread::sleep_for(20ms);
-    }
-    return 0;
-  }
-
-  void kill9() {
-    if (pid < 0) return;
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    pid = -1;
-  }
-
-  void terminate() {
-    if (pid < 0) return;
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    pid = -1;
-  }
-
-  ~DaemonProcess() { kill9(); }
-};
-
 std::unique_ptr<service::ServiceClient> dialDaemon(std::uint16_t port,
                                                    double timeoutSeconds = 15.0) {
   const auto deadline = std::chrono::steady_clock::now() +
@@ -554,7 +480,7 @@ void runKillRestartRound(bool waitForSnapshot) {
   TempDir state;
   TempDir logs;
 
-  DaemonProcess first;
+  test::CliProcess first;
   first.spawn({"serve", "--daemon", "--port", "0", "--state-dir", state.path.string(),
                "--checkpoint-interval", "2"},
               logs.path / "daemon1.log");
@@ -596,7 +522,7 @@ void runKillRestartRound(bool waitForSnapshot) {
   }
   first.kill9();  // no goodbye: clients, workers, and engine threads all die
 
-  DaemonProcess second;
+  test::CliProcess second;
   second.spawn({"serve", "--daemon", "--port", std::to_string(port), "--state-dir",
                 state.path.string(), "--checkpoint-interval", "2"},
                logs.path / "daemon2.log");

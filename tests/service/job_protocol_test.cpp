@@ -10,6 +10,7 @@
 #include "core/algorithms.hpp"
 #include "mw/message_buffer.hpp"
 #include "mw/parallel_runner.hpp"
+#include "mw/vertex_server.hpp"
 
 namespace {
 
@@ -84,6 +85,18 @@ TEST(JobProtocol, ValidateRejectsMalformedSpecs) {
     service::JobSpec s = sampleSpec();
     s.objective.function = "powell";  // powell is dim-4 only
     EXPECT_THROW(s.validate(), std::runtime_error);
+  }
+}
+
+TEST(JobProtocol, ValidateBoundsTheClientCount) {
+  // Ns sizes every worker's vertex server, one thread per client past the
+  // first, so a spec past the cap is refused before any worker sees it.
+  service::JobSpec s = sampleSpec();
+  s.objective.clients = mw::kMaxVertexClients;
+  EXPECT_NO_THROW(s.validate());
+  for (const std::int64_t bad : {mw::kMaxVertexClients + 1, std::int64_t{4294967297}}) {
+    s.objective.clients = bad;
+    EXPECT_THROW(s.validate(), std::runtime_error) << bad;
   }
 }
 

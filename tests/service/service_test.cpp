@@ -189,6 +189,36 @@ TEST(Service, WorkerLossMidJobKeepsTheResultBitwise) {
   expectBitwiseEqual(*result.outcome, solo);
 }
 
+TEST(Service, OneShotJobNeedsNoClientCountsRequeuesAndEndsTheRun) {
+  // One-shot `sfopt serve`: the job comes from the daemon's own command
+  // line, through the admission a client's JobSubmit takes, before run(),
+  // and run() returns as soon as the job is reaped.
+  const service::JobSpec spec = makeSpec("rosenbrock", 4, "pc", 7, 20);
+  const core::OptimizationResult solo = soloRun(spec);
+
+  Harness h(1, 2, 3);  // worker rank 1 dies after three tasks
+  service::OptimizationService svc(h.comm, h.opts);
+  service::JobSpec malformed = spec;
+  malformed.initial.pop_back();
+  const service::StatusReply refused = svc.submit(malformed);
+  EXPECT_EQ(refused.state, service::JobState::Rejected);
+  EXPECT_FALSE(refused.retryable);
+  const service::StatusReply ack = svc.submit(spec);
+  ASSERT_EQ(ack.state, service::JobState::Queued) << ack.detail;
+
+  std::atomic<bool> stop{false};
+  EXPECT_EQ(svc.run(stop), 1);
+  const double returnedAt = net::monotonicSeconds();
+  const service::JobRecord* rec = svc.table().find(ack.jobId);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->state, service::JobState::Done) << rec->error;
+  expectBitwiseEqual(*rec->outcome, solo);
+  // The dead worker's in-flight task went back to the survivor.
+  EXPECT_GE(svc.tasksRequeued(), 1u);
+  // No 50 ms poll wait between reaping the job and returning.
+  EXPECT_LT(returnedAt - rec->finishedAt, 0.03);
+}
+
 TEST(Service, CancellingOneJobLeavesItsNeighbourBitwise) {
   const service::JobSpec victim = makeSpec("rastrigin", 4, "pc", 11, 100000);
   const service::JobSpec survivor = makeSpec("sphere", 3, "pc", 5, 25);

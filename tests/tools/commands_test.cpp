@@ -60,6 +60,60 @@ TEST(Cli, WorkerRejectsBadInput) {
   EXPECT_EQ(cli({"worker", "--port", "7600", "--connect-attempts", "0"}).code, 2);
 }
 
+TEST(Cli, NonPositiveOrNanTimingFlagsAreUsageErrors) {
+  // Each would break the fleet: a worker beating flat out, a master
+  // evicting every worker or failing the job on its first quiet pass, or
+  // a worker wait that never reaches its deadline.  All exit 2 before a
+  // port is bound or dialed.
+  const auto serveWith = [](bool daemon, const std::string& flag, const std::string& value) {
+    std::vector<std::string> argv = {"serve", "--port", "0", "--workers", "1"};
+    if (daemon) {
+      argv.push_back("--daemon");
+    } else {
+      argv.insert(argv.end(), {"--function", "sphere", "--dim", "2"});
+    }
+    if (flag != "wait-timeout") argv.insert(argv.end(), {"--wait-timeout", "0.2"});
+    argv.insert(argv.end(), {"--" + flag, value});
+    return argv;
+  };
+  for (const std::string bad : {"0", "-1", "nan"}) {
+    for (const std::string flag :
+         {"heartbeat-interval", "heartbeat-timeout", "recv-timeout", "wait-timeout"}) {
+      for (const bool daemon : {false, true}) {
+        const auto r = cli(serveWith(daemon, flag, bad));
+        EXPECT_EQ(r.code, 2) << (daemon ? "daemon " : "") << flag << " " << bad;
+        EXPECT_NE(r.err.find("--" + flag), std::string::npos) << r.err;
+      }
+    }
+    const auto w = cli({"worker", "--port", "1", "--connect-attempts", "1",
+                        "--heartbeat-interval", bad});
+    EXPECT_EQ(w.code, 2) << "worker " << bad;
+    EXPECT_NE(w.err.find("--heartbeat-interval"), std::string::npos) << w.err;
+  }
+  // A period must end; a timeout may be infinite.
+  EXPECT_EQ(cli(serveWith(false, "heartbeat-interval", "inf")).code, 2);
+  EXPECT_EQ(cli({"worker", "--port", "1", "--connect-attempts", "1", "--heartbeat-interval",
+                 "inf"})
+                .code,
+            2);
+}
+
+TEST(Cli, ClientsPastTheVertexServerCapAreUsageErrors) {
+  // Ns sizes every worker's vertex server, one thread per client past the
+  // first: refused before `submit` dials or `serve` binds, including a
+  // count that a cast to int would wrap to 1.
+  for (const std::string bad : {"65", "4294967297"}) {
+    const auto r = cli({"submit", "--clients", bad, "--port", "1"});
+    EXPECT_EQ(r.code, 2) << bad << ": " << r.err;
+    EXPECT_NE(r.err.find("clients"), std::string::npos) << r.err;
+    EXPECT_EQ(cli({"serve", "--clients", bad, "--port", "0", "--workers", "1",
+                   "--wait-timeout", "0.2", "--function", "sphere", "--dim", "2"})
+                  .code,
+              2)
+        << bad;
+  }
+}
+
 TEST(Cli, NoCommandPrintsInfo) {
   const auto r = cli({});
   EXPECT_EQ(r.code, 0);

@@ -7,7 +7,9 @@
 #include <iterator>
 #include <map>
 #include <chrono>
+#include <cmath>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -21,7 +23,6 @@
 #include "core/pso.hpp"
 #include "md/simulation.hpp"
 #include "mw/parallel_runner.hpp"
-#include "mw/sampling_service.hpp"
 #include "net/chaos_transport.hpp"
 #include "net/frame.hpp"
 #include "net/tcp_transport.hpp"
@@ -37,7 +38,6 @@
 #include "telemetry/span.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_analysis.hpp"
-#include "testfunctions/functions.hpp"
 #include "water/cost.hpp"
 #include "water/experimental.hpp"
 
@@ -45,27 +45,24 @@ namespace sfopt::tools {
 
 namespace {
 
-using FnPtr = double (*)(std::span<const double>);
-
-FnPtr lookupFunction(const std::string& name) {
-  if (name == "rosenbrock") return &testfunctions::rosenbrock;
-  if (name == "powell") return &testfunctions::powell;
-  if (name == "sphere") return &testfunctions::sphere;
-  if (name == "rastrigin") return &testfunctions::rastrigin;
-  if (name == "quadratic") return &testfunctions::quadraticBowl;
-  throw ArgError("unknown function '" + name +
-                 "' (try rosenbrock, powell, sphere, rastrigin, quadratic)");
-}
-
-noise::NoisyFunction makeObjective(const Args& args, std::size_t dim) {
-  const std::string fn = args.getString("function", "rosenbrock");
-  if (fn == "powell" && dim != 4) throw ArgError("powell requires --dim 4");
-  noise::NoisyFunction::Options o;
+/// The objective flags of optimize, probe, serve and submit.
+service::ObjectiveSpec objectiveSpecFrom(const Args& args) {
+  service::ObjectiveSpec o;
+  o.function = args.getString("function", "rosenbrock");
+  o.dim = args.getInt("dim", 4);
+  if (o.dim < 2) throw ArgError("--dim must be >= 2");
   o.sigma0 = args.getDouble("sigma0", 1.0);
   o.seed = static_cast<std::uint64_t>(args.getInt("seed", 2026));
+  o.clients = args.getInt("clients", 1);
+  return o;
+}
+
+/// The objective those flags name; a bad function, dimension or sigma0 is
+/// a usage error.
+noise::NoisyFunction objectiveFrom(const Args& args) {
   try {
-    return noise::NoisyFunction(dim, lookupFunction(fn), o);
-  } catch (const std::invalid_argument& e) {
+    return objectiveSpecFrom(args).makeObjective();
+  } catch (const std::exception& e) {
     throw ArgError(e.what());
   }
 }
@@ -94,12 +91,24 @@ core::TerminationCriteria terminationFrom(const Args& args) {
   return t;
 }
 
-/// Evaluation-pipeline knobs shared by `optimize`, `water` and `serve`:
-/// `--shard-min-samples N` splits any sampling batch bigger than N across
-/// the live workers, `--speculate` prefetches the likely next round while
-/// the current one is in flight.  Both only take effect when a sampling
-/// backend with an async path is attached (the MW / TCP deployments);
-/// serial runs ignore them.
+/// A duration flag in seconds.  NaN or a value <= 0 is a usage error; so
+/// is infinity for an `interval` (a timeout may be infinite, a period may
+/// not).
+double secondsFlag(const Args& args, const std::string& flag, double fallback,
+                   bool interval = false) {
+  const double seconds = args.getDouble(flag, fallback);
+  if (!(seconds > 0.0) || (interval && !std::isfinite(seconds))) {
+    throw ArgError("--" + flag + " must be " + (interval ? "finite and " : "") +
+                   "> 0 seconds");
+  }
+  return seconds;
+}
+
+/// Evaluation-pipeline knobs of `water` (a JobSpec carries them for the
+/// other commands): `--shard-min-samples N` splits any sampling batch
+/// bigger than N across the live workers, `--speculate` prefetches the
+/// likely next round while the current one is in flight.  Both only take
+/// effect when a sampling backend is attached; serial runs ignore them.
 void applyPipelineKnobs(const Args& args, core::CommonOptions& common) {
   const auto shardMin = args.getInt("shard-min-samples", 0);
   if (shardMin < 0) throw ArgError("--shard-min-samples must be >= 0");
@@ -119,45 +128,6 @@ void applyIsaFlag(const Args& args) {
   } catch (const std::invalid_argument& e) {
     throw ArgError(e.what());
   }
-}
-
-/// Simplex algorithm selection shared by `optimize` and `serve`; the
-/// caller layers telemetry / checkpointing onto `common` afterwards.
-mw::AlgorithmOptions simplexOptionsFrom(const Args& args, const std::string& algo,
-                                        const core::TerminationCriteria& term,
-                                        bool wantTrace) {
-  mw::AlgorithmOptions options;
-  if (algo == "det") {
-    core::DetOptions o;
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
-    options = o;
-  } else if (algo == "mn") {
-    core::MaxNoiseOptions o;
-    o.k = args.getDouble("k", 2.0);
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
-    options = o;
-  } else if (algo == "anderson") {
-    core::AndersonOptions o;
-    o.k1 = args.getDouble("k1", 1.0);
-    o.k2 = args.getDouble("k2", 0.0);
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
-    options = o;
-  } else if (algo == "pc" || algo == "pcmn") {
-    core::PCOptions o;
-    o.k = args.getDouble("k", 1.0);
-    o.maxNoiseGate = algo == "pcmn";
-    o.common.termination = term;
-    o.common.recordTrace = wantTrace;
-    options = o;
-  } else {
-    throw ArgError("unknown algorithm '" + algo +
-                   "' (try det, mn, anderson, pc, pcmn, pso, sa)");
-  }
-  std::visit([&](auto& o) { applyPipelineKnobs(args, o.common); }, options);
-  return options;
 }
 
 void printResult(std::ostream& out, const core::OptimizationResult& res) {
@@ -251,24 +221,19 @@ void printFleetTable(std::ostream& out, const std::vector<net::FleetHealth>& fle
   }
 }
 
-/// SIGINT/SIGTERM flag for `serve --daemon`: the handler only sets the
-/// flag; the accept loop notices it within one poll interval and drains.
+/// SIGINT/SIGTERM flag for `serve`: the handler only sets the flag; the
+/// daemon loop notices it within one poll interval and drains.
 std::atomic<bool> gServeStop{false};
 
 extern "C" void serveStopHandler(int) { gServeStop.store(true); }
 
-/// Build the wire JobSpec for `sfopt submit` from the same flags (and the
-/// same defaults, including the seeded random simplex) `optimize` uses, so
-/// a submitted job's result diffs bitwise against the equivalent solo run.
+/// Build the wire JobSpec for `sfopt submit`, one-shot `serve` and the
+/// simplex runs of `optimize` from the same flags and defaults (the seeded
+/// random simplex included), so a submitted or served job's result diffs
+/// bitwise against the equivalent solo run.
 service::JobSpec jobSpecFrom(const Args& args) {
   service::JobSpec spec;
-  const auto dim = args.getInt("dim", 4);
-  if (dim < 2) throw ArgError("--dim must be >= 2");
-  spec.objective.function = args.getString("function", "rosenbrock");
-  spec.objective.dim = dim;
-  spec.objective.sigma0 = args.getDouble("sigma0", 1.0);
-  spec.objective.seed = static_cast<std::uint64_t>(args.getInt("seed", 2026));
-  spec.objective.clients = args.getInt("clients", 1);
+  spec.objective = objectiveSpecFrom(args);
   spec.algorithm = args.getString("algorithm", "pc");
   spec.k = args.getDouble("k", spec.algorithm == "mn" ? 2.0 : 1.0);
   spec.k1 = args.getDouble("k1", 1.0);
@@ -277,87 +242,13 @@ service::JobSpec jobSpecFrom(const Args& args) {
   spec.shardMinSamples = args.getInt("shard-min-samples", 0);
   spec.speculate = args.getBool("speculate", false);
   spec.priority = args.getInt("priority", 1);
-  spec.initial = initialSimplexFrom(args, static_cast<std::size_t>(dim));
+  spec.initial = initialSimplexFrom(args, static_cast<std::size_t>(spec.objective.dim));
   try {
     spec.validate();
   } catch (const std::exception& e) {
     throw ArgError(e.what());
   }
   return spec;
-}
-
-/// The multi-tenant daemon behind `sfopt serve --daemon`: one shared
-/// worker fleet, many concurrent jobs submitted over the same TCP port.
-int runServeDaemon(const Args& args, std::ostream& out) {
-  const auto port = args.getInt("port", 7600);
-  if (port < 0 || port > 65535) throw ArgError("--port must be in [0, 65535]");
-
-  service::ServiceOptions svcOpts;
-  svcOpts.maxConcurrentJobs = static_cast<int>(args.getInt("max-concurrent", 2));
-  svcOpts.maxQueuedJobs = static_cast<int>(args.getInt("max-queued", 8));
-  if (svcOpts.maxConcurrentJobs < 1) throw ArgError("--max-concurrent must be >= 1");
-  if (svcOpts.maxQueuedJobs < 0) throw ArgError("--max-queued must be >= 0");
-  const auto maxPending = args.getInt("max-pending-shards", 1024);
-  if (maxPending < 1) throw ArgError("--max-pending-shards must be >= 1");
-  svcOpts.maxPendingShards = static_cast<std::size_t>(maxPending);
-  svcOpts.maxJobs = args.getInt("max-jobs", 0);
-  svcOpts.recvTimeoutSeconds = args.getDouble("recv-timeout", 300.0);
-  svcOpts.stateDir = args.getString("state-dir", "");
-  svcOpts.checkpointInterval = args.getInt("checkpoint-interval", 25);
-  if (svcOpts.checkpointInterval < 0) throw ArgError("--checkpoint-interval must be >= 0");
-  svcOpts.resultRetention = args.getInt("result-retention", 0);
-  if (svcOpts.resultRetention < 0) throw ArgError("--result-retention must be >= 0");
-  svcOpts.log = &out;
-
-  CliTelemetry telemetrySession = CliTelemetry::open(args, "serve");
-  svcOpts.telemetry = telemetrySession.get();
-
-  net::TcpCommWorld::Options netOpts;
-  netOpts.telemetry = telemetrySession.get();
-  netOpts.heartbeatIntervalSeconds = args.getDouble("heartbeat-interval", 2.0);
-  netOpts.heartbeatTimeoutSeconds = args.getDouble("heartbeat-timeout", 10.0);
-  net::TcpCommWorld comm(static_cast<std::uint16_t>(port), netOpts);
-
-  // Service workers need no objective up front — every task is
-  // self-describing — so the greeting carries only the schema name.
-  mw::MessageBuffer cfg;
-  cfg.pack(std::string("service-v1"));
-  comm.setGreeting(mw::kTagConfig, std::move(cfg));
-
-  if (args.has("workers")) {
-    const int workers = static_cast<int>(args.getInt("workers", 1));
-    if (workers < 1) throw ArgError("--workers must be >= 1");
-    out << "listening on 0.0.0.0:" << comm.port() << " (protocol v"
-        << net::kProtocolVersion << "), waiting for " << workers << " worker(s)\n"
-        << std::flush;
-    comm.waitForWorkers(workers, args.getDouble("wait-timeout", 120.0));
-  } else {
-    out << "listening on 0.0.0.0:" << comm.port() << " (protocol v"
-        << net::kProtocolVersion << ")\n"
-        << std::flush;
-  }
-  out << "daemon:   up to " << svcOpts.maxConcurrentJobs << " concurrent job(s), "
-      << svcOpts.maxQueuedJobs << " queued";
-  if (svcOpts.maxJobs > 0) out << ", exiting after " << svcOpts.maxJobs << " job(s)";
-  out << "\n" << std::flush;
-  if (!svcOpts.stateDir.empty()) {
-    out << "durable:  journaling to " << svcOpts.stateDir << ", checkpoint every "
-        << svcOpts.checkpointInterval << " iteration(s)\n"
-        << std::flush;
-  }
-
-  gServeStop.store(false);
-  std::signal(SIGINT, &serveStopHandler);
-  std::signal(SIGTERM, &serveStopHandler);
-  service::OptimizationService svc(comm, svcOpts);
-  const std::int64_t completed = svc.run(gServeStop);
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-
-  out << "daemon:   " << completed << " job(s) reached a terminal state\n";
-  printFleetTable(out, comm.fleetHealth());
-  telemetrySession.finish(out);
-  return 0;
 }
 
 /// Render a status/submit/cancel reply; shared by the three client
@@ -414,8 +305,8 @@ std::vector<std::string> acceptedFlags(const Args& args) {
   if (cmd == "cancel") return join({client, {"job"}});
   if (cmd == "worker") {
     return join({telemetry,
-                 {"isa", "host", "port", "connect-attempts", "reconnect", "config-timeout",
-                  "heartbeat-interval", "master-timeout"}});
+                 {"isa", "host", "port", "connect-attempts", "reconnect", "heartbeat-interval",
+                  "master-timeout"}});
   }
   if (cmd == "chaosproxy") {
     return join(
@@ -440,14 +331,11 @@ std::vector<std::string> acceptedFlags(const Args& args) {
 
 int runOptimizeCommand(const Args& args, std::ostream& out) {
   applyIsaFlag(args);
-  const auto dim = static_cast<std::size_t>(args.getInt("dim", 4));
-  if (dim < 2) throw ArgError("--dim must be >= 2");
-  const auto objective = makeObjective(args, dim);
+  const noise::NoisyFunction objective = objectiveFrom(args);
   const std::string algo = args.getString("algorithm", "pc");
 
-  const std::vector<core::Point> start = initialSimplexFrom(args, dim);
+  const std::vector<core::Point> start = initialSimplexFrom(args, objective.dimension());
 
-  const auto term = terminationFrom(args);
   const bool wantTrace = args.has("trace");
   CliTelemetry telemetrySession = CliTelemetry::open(args, "optimize");
   telemetry::Telemetry* const tel = telemetrySession.get();
@@ -460,44 +348,42 @@ int runOptimizeCommand(const Args& args, std::ostream& out) {
     throw ArgError("--checkpoint/--resume support the simplex algorithms only");
   }
   if (wantResume) resumeState = core::loadCheckpoint(args.requireString("resume"));
-  auto applyCheckpointing = [&](core::CommonOptions& common) {
-    common.telemetry = tel;
-    if (wantResume) common.resumeFrom = &resumeState;
-    if (wantCheckpoint) {
-      const std::string path = args.requireString("checkpoint");
-      common.checkpointEvery = args.getInt("checkpoint-every", 10);
-      common.checkpointSink = [path](const core::SimplexCheckpoint& cp) {
-        core::saveCheckpoint(path, cp);
-      };
-    }
-  };
 
   core::OptimizationResult res;
   if (algo == "pso") {
-    if (wantResume || wantCheckpoint) {
-      throw ArgError("--checkpoint/--resume support the simplex algorithms only");
-    }
     core::PsoOptions o;
     o.particles = static_cast<int>(args.getInt("particles", 20));
-    o.termination = term;
+    o.termination = terminationFrom(args);
     o.resample.maxRoundsPerComparison = 8;
     o.recordTrace = wantTrace;
     res = core::runParticleSwarm(objective, o);
   } else if (algo == "sa") {
-    if (wantResume || wantCheckpoint) {
-      throw ArgError("--checkpoint/--resume support the simplex algorithms only");
-    }
     core::AnnealingOptions o;
     o.initialTemperature = args.getDouble("temperature", 10.0);
-    o.termination = term;
+    o.termination = terminationFrom(args);
     res = core::runSimulatedAnnealing(objective, start.front(), o);
   } else {
-    mw::AlgorithmOptions options = simplexOptionsFrom(args, algo, term, wantTrace);
-    std::visit([&](auto& o) { applyCheckpointing(o.common); }, options);
+    // The simplex variants run the job `submit` would send for these flags.
+    const service::JobSpec spec = jobSpecFrom(args);
+    mw::AlgorithmOptions options = spec.makeOptions();
+    std::visit(
+        [&](auto& o) {
+          o.common.recordTrace = wantTrace;
+          o.common.telemetry = tel;
+          if (wantResume) o.common.resumeFrom = &resumeState;
+          if (wantCheckpoint) {
+            const std::string path = args.requireString("checkpoint");
+            o.common.checkpointEvery = args.getInt("checkpoint-every", 10);
+            o.common.checkpointSink = [path](const core::SimplexCheckpoint& cp) {
+              core::saveCheckpoint(path, cp);
+            };
+          }
+        },
+        options);
     if (args.getBool("mw", false)) {
       mw::MWRunConfig cfg;
       cfg.workers = static_cast<int>(args.getInt("workers", 0));
-      cfg.clientsPerWorker = static_cast<int>(args.getInt("clients", 1));
+      cfg.clientsPerWorker = static_cast<int>(spec.objective.clients);
       cfg.telemetry = tel;
       const auto run = mw::runSimplexOverMW(objective, start, options, cfg);
       out << "master-worker deployment: " << run.allocation.workers() << " workers, "
@@ -571,8 +457,8 @@ int runWaterCommand(const Args& args, std::ostream& out) {
 }
 
 int runProbeCommand(const Args& args, std::ostream& out) {
-  const auto dim = static_cast<std::size_t>(args.getInt("dim", 4));
-  const auto objective = makeObjective(args, dim);
+  const noise::NoisyFunction objective = objectiveFrom(args);
+  const std::size_t dim = objective.dimension();
   const auto point = args.getDoubleList("point", core::Point(dim, 0.0));
   if (point.size() != dim) throw ArgError("--point must have --dim coordinates");
   const auto samples = args.getInt("samples", 1000);
@@ -665,59 +551,102 @@ int runMdCommand(const Args& args, std::ostream& out) {
 
 int runServeCommand(const Args& args, std::ostream& out) {
   applyIsaFlag(args);
-  if (args.getBool("daemon", false)) return runServeDaemon(args, out);
-  const auto dim = static_cast<std::size_t>(args.getInt("dim", 4));
-  if (dim < 2) throw ArgError("--dim must be >= 2");
-  const int workers = static_cast<int>(args.getInt("workers", 2));
-  if (workers < 1) throw ArgError("--workers must be >= 1");
-  const int clients = static_cast<int>(args.getInt("clients", 1));
-  if (clients < 1) throw ArgError("--clients must be >= 1");
+  const bool daemon = args.getBool("daemon", false);
+  // One-shot serve is the daemon with one job: the one its flags describe.
+  std::optional<service::JobSpec> job;
+  if (!daemon) job = jobSpecFrom(args);
   const auto port = args.getInt("port", 7600);
   if (port < 0 || port > 65535) throw ArgError("--port must be in [0, 65535]");
-  const std::string fn = args.getString("function", "rosenbrock");
-  const auto objective = makeObjective(args, dim);
-  const std::string algo = args.getString("algorithm", "pc");
-  mw::AlgorithmOptions options = simplexOptionsFrom(args, algo, terminationFrom(args), false);
-  const auto start = initialSimplexFrom(args, dim);
+
+  service::ServiceOptions svcOpts;
+  if (daemon) {
+    svcOpts.maxConcurrentJobs = static_cast<int>(args.getInt("max-concurrent", 2));
+    svcOpts.maxQueuedJobs = static_cast<int>(args.getInt("max-queued", 8));
+    if (svcOpts.maxConcurrentJobs < 1) throw ArgError("--max-concurrent must be >= 1");
+    if (svcOpts.maxQueuedJobs < 0) throw ArgError("--max-queued must be >= 0");
+    const auto maxPending = args.getInt("max-pending-shards", 1024);
+    if (maxPending < 1) throw ArgError("--max-pending-shards must be >= 1");
+    svcOpts.maxPendingShards = static_cast<std::size_t>(maxPending);
+    svcOpts.maxJobs = args.getInt("max-jobs", 0);
+    svcOpts.stateDir = args.getString("state-dir", "");
+    svcOpts.checkpointInterval = args.getInt("checkpoint-interval", 25);
+    if (svcOpts.checkpointInterval < 0) throw ArgError("--checkpoint-interval must be >= 0");
+    svcOpts.resultRetention = args.getInt("result-retention", 0);
+    if (svcOpts.resultRetention < 0) throw ArgError("--result-retention must be >= 0");
+    svcOpts.log = &out;
+  } else {
+    svcOpts.maxConcurrentJobs = 1;
+    svcOpts.maxQueuedJobs = 0;
+    svcOpts.maxJobs = 1;
+  }
+  svcOpts.recvTimeoutSeconds = secondsFlag(args, "recv-timeout", 300.0);
+  // One-shot serve waits for its fleet before the job starts; the daemon
+  // waits only when asked to.
+  const bool waitForFleet = !daemon || args.has("workers");
+  const int workers = static_cast<int>(args.getInt("workers", 2));
+  if (workers < 1) throw ArgError("--workers must be >= 1");
+  const double waitTimeout = secondsFlag(args, "wait-timeout", 120.0);
+  net::TcpCommWorld::Options netOpts;
+  netOpts.heartbeatIntervalSeconds = secondsFlag(args, "heartbeat-interval", 2.0, true);
+  netOpts.heartbeatTimeoutSeconds = secondsFlag(args, "heartbeat-timeout", 10.0);
 
   CliTelemetry telemetrySession = CliTelemetry::open(args, "serve");
-  telemetry::Telemetry* const tel = telemetrySession.get();
-  std::visit([&](auto& o) { o.common.telemetry = tel; }, options);
-
-  net::TcpCommWorld::Options netOpts;
-  netOpts.telemetry = tel;
-  netOpts.heartbeatIntervalSeconds = args.getDouble("heartbeat-interval", 2.0);
-  netOpts.heartbeatTimeoutSeconds = args.getDouble("heartbeat-timeout", 10.0);
+  svcOpts.telemetry = telemetrySession.get();
+  netOpts.telemetry = telemetrySession.get();
   net::TcpCommWorld comm(static_cast<std::uint16_t>(port), netOpts);
 
-  // Greeting: delivered to every worker right after its handshake
-  // (including late joiners and post-crash rejoins), so workers are
-  // configured by the master, not by their own command lines.
-  mw::MessageBuffer cfg;
-  cfg.pack(std::string("noisy-v1"));
-  cfg.pack(fn);
-  cfg.pack(static_cast<std::int64_t>(dim));
-  cfg.pack(args.getDouble("sigma0", 1.0));
-  cfg.pack(static_cast<std::uint64_t>(args.getInt("seed", 2026)));
-  cfg.pack(static_cast<std::int64_t>(clients));
-  comm.setGreeting(mw::kTagConfig, std::move(cfg));
-
   out << "listening on 0.0.0.0:" << comm.port() << " (protocol v" << net::kProtocolVersion
-      << "), waiting for " << workers << " worker(s)\n"
-      << std::flush;
-  comm.waitForWorkers(workers, args.getDouble("wait-timeout", 120.0));
-  out << "workers:  " << comm.liveWorkers() << " connected\n" << std::flush;
+      << ")";
+  if (waitForFleet) {
+    out << ", waiting for " << workers << " worker(s)\n" << std::flush;
+    comm.waitForWorkers(workers, waitTimeout);
+  } else {
+    out << "\n" << std::flush;
+  }
+  if (daemon) {
+    out << "daemon:   up to " << svcOpts.maxConcurrentJobs << " concurrent job(s), "
+        << svcOpts.maxQueuedJobs << " queued";
+    if (svcOpts.maxJobs > 0) out << ", exiting after " << svcOpts.maxJobs << " job(s)";
+    out << "\n" << std::flush;
+    if (!svcOpts.stateDir.empty()) {
+      out << "durable:  journaling to " << svcOpts.stateDir << ", checkpoint every "
+          << svcOpts.checkpointInterval << " iteration(s)\n"
+          << std::flush;
+    }
+  } else {
+    out << "workers:  " << comm.liveWorkers() << " connected\n" << std::flush;
+  }
 
-  mw::MWRunConfig runCfg;
-  runCfg.clientsPerWorker = clients;
-  runCfg.telemetry = tel;
-  runCfg.recvTimeoutSeconds = args.getDouble("recv-timeout", 300.0);
-  const auto run = mw::runSimplexOverTransport(objective, start, options, comm, runCfg);
+  gServeStop.store(false);
+  std::signal(SIGINT, &serveStopHandler);
+  std::signal(SIGTERM, &serveStopHandler);
+  service::OptimizationService svc(comm, svcOpts);
+  std::uint64_t jobId = 0;
+  if (job) {
+    const service::StatusReply ack = svc.submit(std::move(*job));
+    if (ack.state == service::JobState::Rejected) throw std::runtime_error(ack.detail);
+    jobId = ack.jobId;
+  }
+  const std::int64_t completed = svc.run(gServeStop);
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+
+  if (daemon) {
+    out << "daemon:   " << completed << " job(s) reached a terminal state\n";
+    printFleetTable(out, comm.fleetHealth());
+    telemetrySession.finish(out);
+    return 0;
+  }
   out << "distributed deployment: " << comm.size() - 1 << " worker rank(s), "
-      << run.messagesSent << " messages, " << run.tasksRequeued << " requeued\n";
+      << comm.messagesSent() << " messages, " << svc.tasksRequeued() << " requeued\n";
   printFleetTable(out, comm.fleetHealth());
-  printResult(out, run.optimization);
+  const service::JobRecord& rec = *svc.table().find(jobId);
+  if (rec.state == service::JobState::Done) printResult(out, rec.outcome->toResult());
   telemetrySession.finish(out);
+  if (rec.state != service::JobState::Done) {
+    throw std::runtime_error("job " + std::string(service::toString(rec.state)) + ": " +
+                             rec.error);
+  }
   return 0;
 }
 
@@ -729,18 +658,17 @@ int runWorkerCommand(const Args& args, std::ostream& out) {
   const int attempts = static_cast<int>(args.getInt("connect-attempts", 10));
   if (attempts < 1) throw ArgError("--connect-attempts must be >= 1");
   const bool reconnect = args.getBool("reconnect", true);
-  const double configTimeout = args.getDouble("config-timeout", 30.0);
 
-  CliTelemetry telemetrySession = CliTelemetry::open(args, "worker");
   net::TcpWorkerTransport::Options netOpts;
-  netOpts.telemetry = telemetrySession.get();
-  netOpts.heartbeatIntervalSeconds = args.getDouble("heartbeat-interval", 2.0);
+  netOpts.heartbeatIntervalSeconds = secondsFlag(args, "heartbeat-interval", 2.0, true);
   // Master-silence deadline: under a one-way partition the connection
   // stays open and our own beats keep "succeeding" into the void, so only
   // this recv deadline (and the matching write deadline inside the
   // transport) gets the worker back into its reconnect loop.
   netOpts.masterTimeoutSeconds = args.getDouble("master-timeout", 30.0);
   if (netOpts.masterTimeoutSeconds < 0.0) throw ArgError("--master-timeout must be >= 0");
+  CliTelemetry telemetrySession = CliTelemetry::open(args, "worker");
+  netOpts.telemetry = telemetrySession.get();
 
   // Reconnect jitter is seeded by the last rank this worker held (0 on the
   // very first dial), so a restarted fleet's workers spread their retries
@@ -761,57 +689,27 @@ int runWorkerCommand(const Args& args, std::ostream& out) {
     }
     out << "connected to " << host << ":" << port << " as rank " << rank << "\n" << std::flush;
     try {
-      // The master's greeting tells this worker what to compute; a worker
-      // needs no objective flags of its own.
-      auto cfgMsg = transport->recvFor(rank, configTimeout, 0, mw::kTagConfig);
-      if (!cfgMsg) throw std::runtime_error("sfopt worker: no config greeting from master");
-      mw::MessageBuffer& cfg = cfgMsg->payload;
-      const std::string schema = cfg.unpackString();
-      // Both schemas serve the same way.  The worker's task counters are
-      // exposed to the heartbeat thread while it runs, so every beat ships
-      // a fleet snapshot; the provider is detached before the worker dies
-      // (the clear is a barrier against an in-flight heartbeat poll).
-      // Returns the stream so each schema can finish its shutdown line.
-      const auto serve = [&](mw::MWWorker& worker) -> std::ostream& {
-        worker.setTelemetry(telemetrySession.get());
-        transport->setStatsProvider([&worker] {
-          return net::WorkerStats{worker.tasksExecuted(), worker.tasksFailed(),
-                                  worker.executeEwmaSeconds()};
-        });
-        try {
-          worker.run();
-        } catch (...) {
-          transport->setStatsProvider({});
-          throw;
-        }
+      // Every task carries its job's objective, so the worker needs no
+      // configuration of its own.  Its task counters are exposed to the
+      // heartbeat thread while it runs, so every beat ships a fleet
+      // snapshot; the provider is detached before the worker dies (the
+      // clear is a barrier against an in-flight heartbeat poll).
+      service::ServiceWorker worker(*transport, rank);
+      worker.setTelemetry(telemetrySession.get());
+      transport->setStatsProvider([&worker] {
+        return net::WorkerStats{worker.tasksExecuted(), worker.tasksFailed(),
+                                worker.executeEwmaSeconds()};
+      });
+      try {
+        worker.run();
+      } catch (...) {
         transport->setStatsProvider({});
-        return out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
-                   << worker.tasksFailed() << " failed";
-      };
-      if (schema == "service-v1") {
-        // Multi-tenant daemon: tasks are self-describing (job id +
-        // objective spec ride on every one), so there is nothing more to
-        // unpack — just serve until shutdown.
-        out << "service:  multi-tenant worker (objectives arrive per task)\n"
-            << std::flush;
-        service::ServiceWorker worker(*transport, rank);
-        serve(worker) << " (" << worker.cacheMisses() << " objective build(s))\n";
-      } else if (schema == "noisy-v1") {
-        const std::string fn = cfg.unpackString();
-        const auto dim = static_cast<std::size_t>(cfg.unpackInt64());
-        noise::NoisyFunction::Options objOpts;
-        objOpts.sigma0 = cfg.unpackDouble();
-        objOpts.seed = cfg.unpackUint64();
-        const int clients = static_cast<int>(cfg.unpackInt64());
-        const noise::NoisyFunction objective(dim, lookupFunction(fn), objOpts);
-        out << "objective: " << fn << " dim " << dim << " sigma0 " << objOpts.sigma0 << ", "
-            << clients << " client(s) per vertex server\n"
-            << std::flush;
-        mw::SamplingWorker worker(*transport, rank, objective, clients);
-        serve(worker) << "\n";
-      } else {
-        throw std::runtime_error("sfopt worker: unsupported config schema '" + schema + "'");
+        throw;
       }
+      transport->setStatsProvider({});
+      out << "shutdown: " << worker.tasksExecuted() << " task(s) executed, "
+          << worker.tasksFailed() << " failed (" << worker.cacheMisses()
+          << " objective build(s))\n";
       telemetrySession.finish(out);
       return 0;
     } catch (const net::ConnectionLost& e) {
@@ -1202,6 +1100,7 @@ int runInfoCommand(const Args&, std::ostream& out) {
   out << "commands:\n";
   out << "  optimize --function F --dim D --algorithm A --sigma0 S [--mw] ...\n";
   out << "  serve    --port P --workers W --function F --dim D --algorithm A ...\n";
+  out << "           (the daemon with one job: same flags/defaults as optimize)\n";
   out << "  serve    --daemon --port P [--max-concurrent N] [--max-queued M]\n";
   out << "           [--max-jobs K]   (multi-tenant service; jobs via submit)\n";
   out << "           [--state-dir DIR] [--checkpoint-interval I] (durable: journal\n";
@@ -1213,6 +1112,7 @@ int runInfoCommand(const Args&, std::ostream& out) {
   out << "           --result pulls the stored outcome, surviving restarts)\n";
   out << "  cancel   --host H --port P --job N\n";
   out << "  worker   --host H --port P [--reconnect false] [--master-timeout S]\n";
+  out << "           (serves any master: every task carries its job's objective)\n";
   out << "  chaosproxy --target-port P [--port L] [--scenario partition-heal|\n";
   out << "           blackhole-up|blackhole-down|delay-duplicate|midframe-stall|none]\n";
   out << "           [--seed N] [--duration S]  (fault-injecting relay for tests)\n";

@@ -15,9 +15,11 @@ namespace sfopt::tools {
 int runOptimizeCommand(const Args& args, std::ostream& out);
 
 /// `sfopt serve` — distributed master: bind a TCP port, wait for
-/// `--workers` worker processes to register, then run the simplex
-/// optimization with sampling farmed out over them.  Results are bitwise
-/// identical to the in-process `optimize --mw` run of the same options.
+/// `--workers` worker processes to register, then run the job its flags
+/// describe as the daemon's only job (`serve --daemon` instead takes jobs
+/// from `submit`).  Results are bitwise identical to the in-process
+/// `optimize --mw` run of the same options.  Exits 1 with the job's error
+/// when the job does not finish.
 int runServeCommand(const Args& args, std::ostream& out);
 
 /// `sfopt submit` — client of the multi-tenant daemon (`serve --daemon`):
@@ -34,10 +36,11 @@ int runStatusCommand(const Args& args, std::ostream& out);
 /// `sfopt cancel` — request cancellation of a queued or running job.
 int runCancelCommand(const Args& args, std::ostream& out);
 
-/// `sfopt worker` — distributed worker: connect to a master, receive the
-/// objective configuration in the handshake greeting, and serve sampling
-/// tasks until shutdown.  Reconnects with backoff when the connection
-/// drops (disable with `--reconnect false`).
+/// `sfopt worker` — distributed worker: connect to a master (one-shot
+/// `serve` or the daemon, which speak the same protocol) and serve
+/// sampling tasks until shutdown.  Every task carries its job's objective
+/// spec, so the worker needs no problem flags.  Reconnects with backoff
+/// when the connection drops (disable with `--reconnect false`).
 int runWorkerCommand(const Args& args, std::ostream& out);
 
 /// `sfopt chaosproxy` — fault-injecting TCP proxy between workers and a
