@@ -45,51 +45,6 @@ struct PairAccumulator {
   }
 };
 
-/// Shared per-pair nonbonded kernel and the intramolecular terms; the
-/// computeForces variants differ only in how nonbonded pairs are
-/// enumerated.
-struct NonbondedKernel {
-  const WaterSystem& sys;
-  PairAccumulator& acc;
-  ForceResult& out;
-  double rc;
-  double rc2;
-  double s2;
-  double eps;
-  double ljErc;
-  double ljFrc;
-
-  void operator()(int i, int j) const {
-    const Vec3 rij = sys.box().minimumImage(sys.positions[static_cast<std::size_t>(i)],
-                                            sys.positions[static_cast<std::size_t>(j)]);
-    const double r2 = normSquared(rij);
-    if (r2 >= rc2) return;
-    const double r = std::sqrt(r2);
-
-    // Coulomb, force-shifted: V = C q q (1/r - 1/rc + (r - rc)/rc^2).
-    const double qq = kCoulomb * sys.chargeOf(i) * sys.chargeOf(j);
-    if (qq != 0.0) {
-      const double e = qq * (1.0 / r - 1.0 / rc + (r - rc) / rc2);
-      const double fMag = qq * (1.0 / r2 - 1.0 / rc2);  // -dV/dr
-      out.coulomb += e;
-      acc.apply(i, j, rij, rij * (fMag / r));
-    }
-
-    // Lennard-Jones on O-O pairs only, force-shifted.
-    if (sys.speciesOf(i) == Species::Oxygen && sys.speciesOf(j) == Species::Oxygen) {
-      const double inv2 = s2 / r2;
-      const double inv6 = inv2 * inv2 * inv2;
-      const double inv12 = inv6 * inv6;
-      const double e = 4.0 * eps * (inv12 - inv6);
-      const double fOverR = 24.0 * eps * (2.0 * inv12 - inv6) / r2;
-      const double eShifted = e - ljErc + ljFrc * (r - rc);
-      const double fMag = fOverR * r - ljFrc;  // force-shift
-      out.lennardJones += eShifted;
-      acc.apply(i, j, rij, rij * (fMag / r));
-    }
-  }
-};
-
 /// Intramolecular bonds and angle; identical in every force path.
 void intramolecularForces(const WaterSystem& sys, PairAccumulator& acc, ForceResult& out) {
   const IntramolecularConstants& c = sys.intramolecular();
@@ -133,9 +88,8 @@ void intramolecularForces(const WaterSystem& sys, PairAccumulator& acc, ForceRes
 }
 
 /// Structure-of-arrays snapshot of the system plus the precomputed model
-/// constants, built once per evaluation of the dispatched SIMD force
-/// path.  The reciprocal constants are the exact quotients the scalar
-/// kernel computes per pair.
+/// constants, built once per force evaluation.  The reciprocal constants
+/// are the exact IEEE quotients of the force-shifted model's terms.
 struct SimdForceContext {
   simd::ForceConstants constants;
   std::vector<double> x, y, z, q, oxy;
@@ -184,8 +138,8 @@ struct SimdForceContext {
 /// SIMD instructions — so the drained result depends only on the pair
 /// stream, never on where block or lane boundaries fell.  Any two
 /// enumerations of the same contributing pairs in the same order (the
-/// all-pairs triangle vs the neighbor list) therefore stay bitwise equal,
-/// exactly like the scalar path.
+/// all-pairs triangle vs the neighbor list) therefore stay bitwise equal.
+/// Every ISA, the scalar one included, takes this path.
 class SimdPairStream {
  public:
   SimdPairStream(const SimdForceContext& ctx, PairAccumulator& acc, ForceResult& out)
@@ -220,11 +174,16 @@ class SimdPairStream {
                                         within_.data(),   coulombOn_.data(),
                                         ljOn_.data()};
     simd::forcePairBlock(ctx_.constants, in, block);
-    // Scalar drain in pair-stream order: mirrors the scalar kernel's
-    // accumulation semantics (Coulomb term, then LJ, per pair).
+    // Only pairs inside the cutoff contribute: compact their positions,
+    // branch-free and in stream order, then drain those alone (Coulomb
+    // term, then LJ, per pair).
+    std::int64_t hits = 0;
     for (std::int64_t k = 0; k < count_; ++k) {
-      const auto uk = static_cast<std::size_t>(k);
-      if (within_[uk] == 0) continue;
+      hits_[static_cast<std::size_t>(hits)] = static_cast<std::int32_t>(k);
+      hits += within_[static_cast<std::size_t>(k)];
+    }
+    for (std::int64_t h = 0; h < hits; ++h) {
+      const auto uk = static_cast<std::size_t>(hits_[static_cast<std::size_t>(h)]);
       const Vec3 rij{dx_[uk], dy_[uk], dz_[uk]};
       if (coulombOn_[uk] != 0) {
         out_.coulomb += coulombE_[uk];
@@ -244,26 +203,15 @@ class SimdPairStream {
   PairAccumulator& acc_;
   ForceResult& out_;
   std::int64_t count_ = 0;
-  std::array<std::int32_t, kCap> idxI_{};
-  std::array<std::int32_t, kCap> idxJ_{};
-  std::array<double, kCap> dx_{}, dy_{}, dz_{};
-  std::array<double, kCap> coulombE_{}, coulombS_{}, ljE_{}, ljS_{};
-  std::array<std::uint8_t, kCap> within_{}, coulombOn_{}, ljOn_{};
+  // Block scratch, deliberately left uninitialized: flush() writes every
+  // slot it reads (the kernel fills each output up to the padded count).
+  std::array<std::int32_t, kCap> idxI_;
+  std::array<std::int32_t, kCap> idxJ_;
+  std::array<std::int32_t, kCap> hits_;
+  std::array<double, kCap> dx_, dy_, dz_;
+  std::array<double, kCap> coulombE_, coulombS_, ljE_, ljS_;
+  std::array<std::uint8_t, kCap> within_, coulombOn_, ljOn_;
 };
-
-NonbondedKernel makeKernel(const WaterSystem& sys, PairAccumulator& acc, ForceResult& out) {
-  const WaterParameters& p = sys.parameters();
-  const double rc = sys.cutoff();
-  const double rc2 = rc * rc;
-  const double s2 = p.sigma * p.sigma;
-  // Shifted-force terms at the cutoff.
-  const double inv2 = s2 / rc2;
-  const double inv6 = inv2 * inv2 * inv2;
-  const double inv12 = inv6 * inv6;
-  const double ljErc = 4.0 * p.epsilon * (inv12 - inv6);
-  const double ljFrcOverRc = 24.0 * p.epsilon * (2.0 * inv12 - inv6) / rc2;
-  return NonbondedKernel{sys, acc, out, rc, rc2, s2, p.epsilon, ljErc, ljFrcOverRc * rc};
-}
 
 }  // namespace
 
@@ -273,27 +221,15 @@ ForceResult computeForces(WaterSystem& sys) {
   for (auto& f : sys.forces) f = Vec3{};
   PairAccumulator acc{sys.forces};
   const int n = sys.sites();
-  if (simd::activeIsa() == simd::Isa::Scalar) {
-    // The legacy loop, untouched: forcing SFOPT_ISA=scalar reproduces the
-    // pre-SIMD trajectory bit for bit.
-    const NonbondedKernel kernel = makeKernel(sys, acc, out);
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
-        kernel(i, j);
-      }
+  const SimdForceContext ctx(sys);
+  SimdPairStream stream(ctx, acc, out);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
+      stream.add(i, j);
     }
-  } else {
-    const SimdForceContext ctx(sys);
-    SimdPairStream stream(ctx, acc, out);
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
-        stream.add(i, j);
-      }
-    }
-    stream.finish();
   }
+  stream.finish();
   // All intermolecular i<j pairs: the full triangle minus the 3 pairs
   // internal to each of the molecules.
   out.pairsEvaluated = static_cast<std::int64_t>(n) * (n - 1) / 2 - 3LL * sys.molecules();
@@ -309,19 +245,12 @@ ForceResult computeForces(WaterSystem& sys, const NeighborList& list) {
   ForceResult out;
   for (auto& f : sys.forces) f = Vec3{};
   PairAccumulator acc{sys.forces};
-  if (simd::activeIsa() == simd::Isa::Scalar) {
-    const NonbondedKernel kernel = makeKernel(sys, acc, out);
-    for (const auto& [i, j] : list.pairs()) {
-      kernel(i, j);
-    }
-  } else {
-    const SimdForceContext ctx(sys);
-    SimdPairStream stream(ctx, acc, out);
-    for (const auto& [i, j] : list.pairs()) {
-      stream.add(i, j);
-    }
-    stream.finish();
+  const SimdForceContext ctx(sys);
+  SimdPairStream stream(ctx, acc, out);
+  for (const auto& [i, j] : list.pairs()) {
+    stream.add(i, j);
   }
+  stream.finish();
   out.pairsEvaluated = static_cast<std::int64_t>(list.pairs().size());
   intramolecularForces(sys, acc, out);
   out.potential = out.lennardJones + out.coulomb + out.intramolecular;

@@ -65,14 +65,19 @@ void NeighborList::rebuild(const WaterSystem& sys) {
     avgOccupancy_ = cells.averageOccupancy();
     maxOccupancy_ = cells.maxOccupancy();
   } else {
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
-        const Vec3 d = sys.box().minimumImage(sys.positions[static_cast<std::size_t>(i)],
-                                              sys.positions[static_cast<std::size_t>(j)]);
-        if (normSquared(d) < r2) pairs_.emplace_back(i, j);
-      }
+    // Every intermolecular pair's squared minimum-image distance from the
+    // SIMD kernel, then a branch-free compaction of those inside the
+    // list radius; the candidates are already in ascending (i, j) order.
+    const std::span<const double> d2 = allPairs_.distancesSquared(sys);
+    const std::int32_t* first = allPairs_.first();
+    const std::int32_t* second = allPairs_.second();
+    pairs_.resize(d2.size());
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < d2.size(); ++k) {
+      pairs_[kept] = {first[k], second[k]};
+      kept += d2[k] < r2 ? 1 : 0;
     }
+    pairs_.resize(kept);
     usedCells_ = false;
     cellsPerDim_ = 0;
     avgOccupancy_ = 0.0;

@@ -3,6 +3,7 @@
 #include <utility>
 #include <vector>
 
+#include "md/intermolecular_pairs.hpp"
 #include "md/system.hpp"
 
 namespace sfopt::md {
@@ -21,7 +22,8 @@ enum class NeighborStrategy {
 ///
 /// Rebuilds go through a linked-cell decomposition (`CellList`) in O(N)
 /// whenever the box admits >= 3 cells per dimension at the list radius,
-/// falling back to the O(N^2) all-pairs scan for small boxes.  Either
+/// falling back to the O(N^2) all-pairs scan for small boxes (a cached
+/// intermolecular pair list through the SIMD distance kernel).  Either
 /// way the pair list is emitted in ascending (i, j) order, so the force
 /// loop's accumulation order — and hence every trajectory bit — is
 /// independent of the build strategy.
@@ -66,6 +68,7 @@ class NeighborList {
   double skin_;
   NeighborStrategy strategy_;
   std::vector<std::pair<int, int>> pairs_;
+  IntermolecularPairs allPairs_;                  ///< brute-force candidates
   std::vector<std::pair<int, int>> sortScratch_;  ///< counting-sort scratch
   std::vector<int> countScratch_;                 ///< per-site pair counts
   std::vector<Vec3> referencePositions_;

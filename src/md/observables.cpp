@@ -10,38 +10,32 @@ RdfAccumulator::RdfAccumulator(double rMax, int bins)
     : rMax_(rMax), dr_(rMax / bins), bins_(bins) {
   if (bins < 1) throw std::invalid_argument("RdfAccumulator: bins must be >= 1");
   if (!(rMax > 0.0)) throw std::invalid_argument("RdfAccumulator: rMax must be positive");
-  histOO_.assign(static_cast<std::size_t>(bins), 0);
-  histOH_.assign(static_cast<std::size_t>(bins), 0);
-  histHH_.assign(static_cast<std::size_t>(bins), 0);
+  for (auto& h : hist_) h.assign(static_cast<std::size_t>(bins) + 1, 0);
 }
 
 void RdfAccumulator::addFrame(const WaterSystem& sys) {
-  const int n = sys.sites();
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
-      const Vec3 d = sys.box().minimumImage(sys.positions[static_cast<std::size_t>(i)],
-                                            sys.positions[static_cast<std::size_t>(j)]);
-      const double r = norm(d);
-      if (r >= rMax_) continue;
-      const auto bin = static_cast<std::size_t>(r / dr_);
-      const bool iO = sys.speciesOf(i) == Species::Oxygen;
-      const bool jO = sys.speciesOf(j) == Species::Oxygen;
-      if (iO && jO) {
-        ++histOO_[bin];
-      } else if (iO != jO) {
-        ++histOH_[bin];
-      } else {
-        ++histHH_[bin];
-      }
+  const std::span<const double> d2 = pairs_.distancesSquared(sys);
+  if (kinds_.size() != d2.size()) {
+    kinds_.resize(d2.size());
+    for (std::size_t k = 0; k < d2.size(); ++k) {
+      const bool iO = sys.speciesOf(pairs_.first()[k]) == Species::Oxygen;
+      const bool jO = sys.speciesOf(pairs_.second()[k]) == Species::Oxygen;
+      const PairKind kind = iO && jO ? PairKind::OO : (iO != jO ? PairKind::OH : PairKind::HH);
+      kinds_[k] = static_cast<std::uint8_t>(kind);
     }
+  }
+  const auto overflow = static_cast<std::size_t>(bins_);
+  for (std::size_t k = 0; k < d2.size(); ++k) {
+    const double r = std::sqrt(d2[k]);
+    const std::size_t bin = r < rMax_ ? static_cast<std::size_t>(r / dr_) : overflow;
+    ++hist_[kinds_[k]][bin];
   }
   ++frames_;
 }
 
 RdfCurve RdfAccumulator::curve(PairKind kind, const WaterSystem& sys) const {
   if (frames_ == 0) throw std::logic_error("RdfAccumulator::curve: no frames recorded");
-  const auto& hist = kind == PairKind::OO ? histOO_ : (kind == PairKind::OH ? histOH_ : histHH_);
+  const auto& hist = hist_[static_cast<std::size_t>(kind)];
   const double nMol = sys.molecules();
   // Number of distinct intermolecular pairs for the kind:
   //   OO: N(N-1)/2, OH: 2 N (N-1)  (each O pairs with 2 H on other mols,

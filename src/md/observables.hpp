@@ -1,8 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "md/intermolecular_pairs.hpp"
 #include "md/system.hpp"
 
 namespace sfopt::md {
@@ -23,10 +26,17 @@ class RdfAccumulator {
  public:
   RdfAccumulator(double rMax, int bins);
 
-  /// Bin all intermolecular site pairs of the current frame.
+  /// Bin all intermolecular site pairs of the current frame (their
+  /// distances come from the SIMD distance kernel over a cached pair
+  /// list).
   void addFrame(const WaterSystem& sys);
 
   [[nodiscard]] int frames() const noexcept { return frames_; }
+
+  /// Raw pair counts per bin for a pair kind, summed over the frames.
+  [[nodiscard]] std::span<const std::uint64_t> histogram(PairKind kind) const noexcept {
+    return {hist_[static_cast<std::size_t>(kind)].data(), static_cast<std::size_t>(bins_)};
+  }
 
   /// Normalized g(r) for a pair kind.  Requires at least one frame.
   [[nodiscard]] RdfCurve curve(PairKind kind, const WaterSystem& sys) const;
@@ -36,9 +46,11 @@ class RdfAccumulator {
   double dr_;
   int bins_;
   int frames_ = 0;
-  std::vector<std::uint64_t> histOO_;
-  std::vector<std::uint64_t> histOH_;
-  std::vector<std::uint64_t> histHH_;
+  /// Histograms indexed by PairKind; slot `bins` of each absorbs the
+  /// pairs at or beyond rMax, so binning needs no branch.
+  std::array<std::vector<std::uint64_t>, 3> hist_;
+  IntermolecularPairs pairs_;
+  std::vector<std::uint8_t> kinds_;  ///< PairKind of each cached pair
 };
 
 /// Accumulates oxygen mean-square displacement against the starting frame

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -113,8 +114,12 @@ Socket tcpConnect(const std::string& host, std::uint16_t port, double timeoutSec
       continue;
     }
     // Non-blocking connect: wait for writability, then read SO_ERROR.
+    // Clamped to [0, 10^6] s before the cast, so an infinite (or huge,
+    // or negative) timeout is neither undefined behaviour nor poll's
+    // "wait for ever".
     pollfd pfd{s.fd(), POLLOUT, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(timeoutSeconds * 1000.0));
+    const int ready =
+        ::poll(&pfd, 1, static_cast<int>(std::clamp(timeoutSeconds, 0.0, 1e6) * 1000.0));
     if (ready <= 0) {
       lastError = ready == 0 ? "connect timed out" : std::strerror(errno);
       continue;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -35,11 +36,18 @@ void sendAll(const net::Socket& socket, const std::byte* data, std::size_t n,
   }
 }
 
+/// A timeout may be infinite (wait for ever) but not NaN: a NaN deadline
+/// fails every comparison, so the wait would never time out.
+double checkedTimeout(double seconds) {
+  if (std::isnan(seconds)) throw std::invalid_argument("ServiceClient: timeout is NaN");
+  return seconds;
+}
+
 }  // namespace
 
 ServiceClient::ServiceClient(const std::string& host, std::uint16_t port,
                              double timeoutSeconds)
-    : socket_(net::tcpConnect(host, port, timeoutSeconds)) {
+    : socket_(net::tcpConnect(host, port, checkedTimeout(timeoutSeconds))) {
   const double deadline = net::monotonicSeconds() + timeoutSeconds;
   std::vector<std::byte> wire;
   net::appendFrame(wire, net::makeHelloFrame(net::kPeerClient));
@@ -91,6 +99,7 @@ net::Frame ServiceClient::recvFrameOfType(net::FrameType want, double deadline) 
 
 StatusReply ServiceClient::roundTrip(net::FrameType type, mw::MessageBuffer request,
                                      double timeoutSeconds) {
+  checkedTimeout(timeoutSeconds);
   sendFrame(net::makeJobFrame(type, request.releaseWire()));
   net::Frame reply = recvFrameOfType(net::FrameType::JobStatus,
                                      net::monotonicSeconds() + timeoutSeconds);
@@ -118,12 +127,13 @@ StatusReply ServiceClient::cancel(std::uint64_t jobId, double timeoutSeconds) {
 
 ResultReply ServiceClient::waitResult(double timeoutSeconds) {
   net::Frame frame = recvFrameOfType(net::FrameType::JobResult,
-                                     net::monotonicSeconds() + timeoutSeconds);
+                                     net::monotonicSeconds() + checkedTimeout(timeoutSeconds));
   mw::MessageBuffer buf(std::move(frame.payload));
   return ResultReply::unpack(buf);
 }
 
 ResultReply ServiceClient::fetchResult(std::uint64_t jobId, double timeoutSeconds) {
+  checkedTimeout(timeoutSeconds);
   mw::MessageBuffer request;
   request.pack(jobId);
   sendFrame(net::makeJobFrame(net::FrameType::JobResult, request.releaseWire()));

@@ -19,7 +19,9 @@ namespace sfopt::service {
 class ServiceClient {
  public:
   /// Connect and complete the Hello/Welcome handshake.  Throws
-  /// std::runtime_error on connect or handshake failure.
+  /// std::runtime_error on connect or handshake failure.  Every timeout
+  /// of this class may be infinite; a NaN one throws
+  /// std::invalid_argument before anything is sent.
   ServiceClient(const std::string& host, std::uint16_t port,
                 double timeoutSeconds = 10.0);
 

@@ -15,22 +15,24 @@ std::atomic<std::int64_t> g_forceBlocks{0};
 struct KernelTable {
   detail::WelfordChunkFn welford;
   detail::ForcePairBlockFn force;
+  detail::PairDistancesFn distances;
 };
 
 KernelTable tableFor(Isa isa) noexcept {
   switch (isa) {
 #if defined(__x86_64__) || defined(__i386__)
     case Isa::Sse4:
-      return {detail::welfordChunkSse4, detail::forcePairBlockSse4};
+      return {detail::welfordChunkSse4, detail::forcePairBlockSse4, detail::pairDistancesSse4};
     case Isa::Avx2:
-      return {detail::welfordChunkAvx2, detail::forcePairBlockAvx2};
+      return {detail::welfordChunkAvx2, detail::forcePairBlockAvx2, detail::pairDistancesAvx2};
 #endif
 #if defined(__aarch64__)
     case Isa::Neon:
-      return {detail::welfordChunkNeon, detail::forcePairBlockNeon};
+      return {detail::welfordChunkNeon, detail::forcePairBlockNeon, detail::pairDistancesScalar};
 #endif
     default:
-      return {detail::welfordChunkScalar, detail::forcePairBlockScalar};
+      return {detail::welfordChunkScalar, detail::forcePairBlockScalar,
+              detail::pairDistancesScalar};
   }
 }
 
@@ -50,6 +52,10 @@ void forcePairBlock(const ForceConstants& c, const ForcePairBlockIn& in,
                     const ForcePairBlockOut& out) {
   g_forceBlocks.fetch_add(1, std::memory_order_relaxed);
   tableFor(activeIsa()).force(c, in, out);
+}
+
+void pairDistancesSquared(const PairDistanceIn& in, double* r2) {
+  tableFor(activeIsa()).distances(in, r2);
 }
 
 DispatchCounts dispatchCounts() noexcept {

@@ -25,6 +25,12 @@ namespace sfopt::simd {
 void forcePairBlock(const ForceConstants& c, const ForcePairBlockIn& in,
                     const ForcePairBlockOut& out);
 
+/// Squared minimum-image distances of `in.count` site pairs with the
+/// active ISA's kernel, written to r2[0..count) (r2 needs room for count
+/// rounded up to kForceLaneGroup).  Bitwise equal under every ISA to
+/// normSquared(PeriodicBox::minimumImage(a, b)).
+void pairDistancesSquared(const PairDistanceIn& in, double* r2);
+
 /// Process-wide dispatch totals (relaxed counters; for telemetry/tests).
 struct DispatchCounts {
   std::int64_t welfordChunks = 0;  ///< welfordChunk calls

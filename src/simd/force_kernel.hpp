@@ -53,6 +53,9 @@ struct ForcePairBlockIn {
 /// up to kForceLaneGroup.  Forces are returned as scales: the force on
 /// site i from one term is (dx, dy, dz) * S (and -that on j), which the
 /// caller applies scalar so accumulation order stays the caller's choice.
+/// The displacement and the three flags are set for every pair; a term's
+/// energy and scale are defined only where its flag is set (the scalar,
+/// SSE4 and AVX2 kernels write 0.0 elsewhere, and never compute them).
 struct ForcePairBlockOut {
   double* dx = nullptr;  ///< minimum-image displacement r_i - r_j
   double* dy = nullptr;
@@ -64,6 +67,21 @@ struct ForcePairBlockOut {
   std::uint8_t* withinCutoff = nullptr;   ///< r^2 < rc^2
   std::uint8_t* coulombActive = nullptr;  ///< within cutoff and qq != 0
   std::uint8_t* ljActive = nullptr;       ///< within cutoff and both oxygen
+};
+
+/// Site pairs for the squared-distance kernel, in the SoA form of
+/// ForcePairBlockIn.  Any `count` >= 0; the index arrays must stay valid
+/// (padded) up to the next kForceLaneGroup multiple of count, and so must
+/// the output array's room.
+struct PairDistanceIn {
+  double boxEdge = 0.0;     ///< cubic box edge L
+  double invBoxEdge = 0.0;  ///< 1/L
+  const double* x = nullptr;
+  const double* y = nullptr;
+  const double* z = nullptr;
+  const std::int32_t* i = nullptr;
+  const std::int32_t* j = nullptr;
+  std::int64_t count = 0;
 };
 
 }  // namespace sfopt::simd

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "md/system.hpp"
 #include "noise/rng.hpp"
+#include "simd/isa.hpp"
 
 namespace {
 
@@ -151,6 +155,60 @@ TEST(RdfResidual, WindowRestrictsComparison) {
   }
   EXPECT_NEAR(rdfResidual(a, b, 0.0, 0.9), 0.0, 1e-12);
   EXPECT_GT(rdfResidual(a, b, 1.1, 1.9), 1.0);
+}
+
+TEST(RdfAccumulator, HistogramsMatchAllPairsScanUnderEveryIsa) {
+  // Unwrapped sites scattered over several periodic images: every ISA's
+  // distance kernel must bin exactly what the per-pair minimum-image scan
+  // bins, pair kind by pair kind, over two different frames.
+  auto sys = buildWaterLattice(27, 0.997, 298.0, tip4pPublished(), 4.5, 5);
+  const double L = sys.box().edge();
+  const double rMax = 4.5;
+  const int bins = 45;
+  sfopt::noise::RngStream rng(7, 0);
+  std::vector<std::vector<Vec3>> frames;
+  for (int f = 0; f < 2; ++f) {
+    for (auto& p : sys.positions) {
+      p = Vec3{rng.uniform(-2.0 * L, 3.0 * L), rng.uniform(-2.0 * L, 3.0 * L),
+               rng.uniform(-2.0 * L, 3.0 * L)};
+    }
+    frames.push_back(sys.positions);
+  }
+
+  std::array<std::vector<std::uint64_t>, 3> want;
+  for (auto& h : want) h.assign(bins, 0);
+  const double dr = rMax / bins;
+  for (const auto& frame : frames) {
+    for (int i = 0; i < sys.sites(); ++i) {
+      for (int j = i + 1; j < sys.sites(); ++j) {
+        if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
+        const double r = norm(sys.box().minimumImage(frame[static_cast<std::size_t>(i)],
+                                                     frame[static_cast<std::size_t>(j)]));
+        if (r >= rMax) continue;
+        const bool iO = sys.speciesOf(i) == Species::Oxygen;
+        const bool jO = sys.speciesOf(j) == Species::Oxygen;
+        const PairKind kind = iO && jO ? PairKind::OO : (iO != jO ? PairKind::OH : PairKind::HH);
+        ++want[static_cast<std::size_t>(kind)][static_cast<std::size_t>(r / dr)];
+      }
+    }
+  }
+
+  const sfopt::simd::Isa saved = sfopt::simd::activeIsa();
+  for (const sfopt::simd::Isa isa : sfopt::simd::supportedIsas()) {
+    sfopt::simd::setActiveIsa(isa);
+    RdfAccumulator rdf(rMax, bins);
+    for (const auto& frame : frames) {
+      sys.positions = frame;
+      rdf.addFrame(sys);
+    }
+    for (const PairKind kind : {PairKind::OO, PairKind::OH, PairKind::HH}) {
+      const auto got = rdf.histogram(kind);
+      const auto& expected = want[static_cast<std::size_t>(kind)];
+      EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), expected)
+          << sfopt::simd::isaName(isa) << " kind " << static_cast<int>(kind);
+    }
+  }
+  sfopt::simd::setActiveIsa(saved);
 }
 
 }  // namespace

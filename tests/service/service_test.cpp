@@ -294,6 +294,21 @@ TEST(Service, SubmittingPastTheAdmissionCapIsARetryableRejection) {
   EXPECT_EQ(drained.running, 0);
 }
 
+TEST(Service, ClientRejectsNanTimeouts) {
+  // A NaN deadline fails every comparison, so a wait on it would never
+  // time out.  The constructor refuses before dialing (nothing listens on
+  // port 1), and each call refuses before sending.
+  const double nan = std::nan("");
+  ASSERT_THROW(service::ServiceClient("127.0.0.1", 1, nan), std::invalid_argument);
+  Harness h(1);
+  h.start();
+  service::ServiceClient client("127.0.0.1", h.comm.port());
+  EXPECT_THROW((void)client.status(0, nan), std::invalid_argument);
+  EXPECT_THROW((void)client.waitResult(nan), std::invalid_argument);
+  EXPECT_THROW((void)client.fetchResult(1, nan), std::invalid_argument);
+  EXPECT_NO_THROW((void)client.status(0));
+}
+
 TEST(Service, NonFiniteSigma0IsANonRetryableRejection) {
   Harness h(1);
   h.start();

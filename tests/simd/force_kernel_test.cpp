@@ -10,6 +10,7 @@
 
 #include "md/forces.hpp"
 #include "md/neighbor_list.hpp"
+#include "md/periodic_box.hpp"
 #include "md/system.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/force_kernel.hpp"
@@ -296,6 +297,149 @@ TEST(SimdForceKernel, FullForceEvaluationAgreesAcrossIsas) {
           << simd::isaName(isa) << " site " << s;
       EXPECT_NEAR(sys.forces[s].z, refForces[s].z, 1e-12 * maxForce)
           << simd::isaName(isa) << " site " << s;
+    }
+  }
+}
+
+/// A block of `pairs` pairs in the testConstants() box (L = 12, rc = 4)
+/// whose in-cutoff positions are exactly `inside`.  Each pair gets two
+/// fresh sites: an inside pair sits 2.5 A apart, an outside one 5 A apart
+/// (minimum image; both well away from rc), with the second site shifted
+/// by whole box edges so the minimum image matters.  With `oxygenPairs`
+/// every pair is O-O, without it every pair is O-H.
+Block cutoffBlock(int pairs, const std::vector<int>& inside, bool oxygenPairs) {
+  Block b;
+  for (int p = 0; p < pairs; ++p) {
+    const bool in = std::find(inside.begin(), inside.end(), p) != inside.end();
+    const double ax = 0.5 + 0.03 * p;
+    const double ay = 0.37 * p;
+    const double az = -0.21 * p;
+    const double image = 12.0 * static_cast<double>(p % 3 - 1);
+    b.addSite(ax, ay, az, -1.04, true);
+    b.addSite(ax + (in ? 2.5 : 5.0) + image, ay - image, az, oxygenPairs ? -1.04 : 0.52,
+              oxygenPairs);
+    b.addPair(2 * p, 2 * p + 1);
+  }
+  b.pad();
+  return b;
+}
+
+/// Every ISA's active outputs are the scalar kernel's, bit for bit; so
+/// are the displacements and flags of every pair.
+void expectActiveOutputsMatchScalar(const Block& b, std::int64_t wantInside,
+                                    std::int64_t wantLj) {
+  const auto c = testConstants();
+  IsaGuard guard;
+  simd::setActiveIsa(simd::Isa::Scalar);
+  Outputs ref(b.i.size());
+  simd::forcePairBlock(c, b.in(), ref.out());
+  std::int64_t inside = 0;
+  std::int64_t lj = 0;
+  for (std::int64_t k = 0; k < b.count; ++k) {
+    inside += ref.within[static_cast<std::size_t>(k)];
+    lj += ref.ljActive[static_cast<std::size_t>(k)];
+  }
+  ASSERT_EQ(inside, wantInside);
+  ASSERT_EQ(lj, wantLj);
+
+  for (const simd::Isa isa : simd::supportedIsas()) {
+    simd::setActiveIsa(isa);
+    Outputs got(b.i.size());
+    simd::forcePairBlock(c, b.in(), got.out());
+    const char* name = simd::isaName(isa);
+    for (std::int64_t k = 0; k < b.count; ++k) {
+      const auto idx = static_cast<std::size_t>(k);
+      EXPECT_EQ(got.within[idx], ref.within[idx]) << name << " pair " << k;
+      EXPECT_EQ(got.coulombActive[idx], ref.coulombActive[idx]) << name << " pair " << k;
+      EXPECT_EQ(got.ljActive[idx], ref.ljActive[idx]) << name << " pair " << k;
+      expectBitEqual(got.dx[idx], ref.dx[idx], "dx", k, name);
+      expectBitEqual(got.dy[idx], ref.dy[idx], "dy", k, name);
+      expectBitEqual(got.dz[idx], ref.dz[idx], "dz", k, name);
+      if (ref.coulombActive[idx] != 0) {
+        expectBitEqual(got.coulombE[idx], ref.coulombE[idx], "coulombE", k, name);
+        expectBitEqual(got.coulombS[idx], ref.coulombS[idx], "coulombS", k, name);
+      }
+      if (ref.ljActive[idx] != 0) {
+        expectBitEqual(got.ljE[idx], ref.ljE[idx], "ljE", k, name);
+        expectBitEqual(got.ljS[idx], ref.ljS[idx], "ljS", k, name);
+      }
+    }
+  }
+}
+
+TEST(SimdForceKernel, NoPairInsideTheCutoff) {
+  expectActiveOutputsMatchScalar(cutoffBlock(13, {}, true), 0, 0);
+}
+
+TEST(SimdForceKernel, OnePairInsideTheCutoff) {
+  expectActiveOutputsMatchScalar(cutoffBlock(13, {6}, true), 1, 1);
+  expectActiveOutputsMatchScalar(cutoffBlock(13, {12}, true), 1, 1);  // in the tail group
+}
+
+TEST(SimdForceKernel, InsideCountNotAMultipleOfTheLaneWidth) {
+  expectActiveOutputsMatchScalar(cutoffBlock(13, {0, 3, 4, 9, 11}, true), 5, 5);
+  std::vector<int> inside;
+  for (int p = 0; p < simd::kForceBlockPairs; p += 2) inside.push_back(p);
+  inside.push_back(simd::kForceBlockPairs - 1);
+  const auto insideCount = static_cast<std::int64_t>(inside.size());
+  expectActiveOutputsMatchScalar(
+      cutoffBlock(static_cast<int>(simd::kForceBlockPairs), inside, true), insideCount,
+      insideCount);
+}
+
+TEST(SimdForceKernel, NoOxygenPairs) {
+  expectActiveOutputsMatchScalar(cutoffBlock(21, {1, 2, 3, 7, 8, 15, 20}, false), 7, 0);
+}
+
+TEST(SimdForceKernel, PairDistancesMatchMinimumImageUnderEveryIsa) {
+  // Unwrapped sites over several periodic images, plus separations whose
+  // d / L is an exact rounding tie (L = 8, so 1/L is exact), zero, or past
+  // 2^52 (already an integer).
+  const md::PeriodicBox box(8.0);
+  std::mt19937_64 rng(2026);
+  std::uniform_real_distribution<double> pos(-30.0, 40.0);
+  std::vector<md::Vec3> sites;
+  for (int s = 0; s < 30; ++s) sites.push_back({pos(rng), pos(rng), pos(rng)});
+  for (const double x : {0.0, 4.0, -4.0, 12.0, -12.0, 20.0, 1e20}) {
+    sites.push_back({x, 2.0 * x, -x});
+  }
+  std::vector<double> x, y, z;
+  for (const md::Vec3& p : sites) {
+    x.push_back(p.x);
+    y.push_back(p.y);
+    z.push_back(p.z);
+  }
+  std::vector<std::int32_t> pi, pj;
+  for (std::size_t a = 0; a < sites.size(); ++a) {
+    for (std::size_t b = a + 1; b < sites.size(); ++b) {
+      pi.push_back(static_cast<std::int32_t>(a));
+      pj.push_back(static_cast<std::int32_t>(b));
+    }
+  }
+  const auto count = static_cast<std::int64_t>(pi.size());
+  while (pi.size() % simd::kForceLaneGroup != 0) {
+    pi.push_back(pi.back());
+    pj.push_back(pj.back());
+  }
+  const simd::PairDistanceIn in{.boxEdge = box.edge(),
+                                .invBoxEdge = 1.0 / box.edge(),
+                                .x = x.data(),
+                                .y = y.data(),
+                                .z = z.data(),
+                                .i = pi.data(),
+                                .j = pj.data(),
+                                .count = count};
+  IsaGuard guard;
+  for (const simd::Isa isa : simd::supportedIsas()) {
+    simd::setActiveIsa(isa);
+    std::vector<double> r2(pi.size());
+    simd::pairDistancesSquared(in, r2.data());
+    for (std::int64_t k = 0; k < count; ++k) {
+      const auto idx = static_cast<std::size_t>(k);
+      const md::Vec3& a = sites[static_cast<std::size_t>(pi[idx])];
+      const md::Vec3& b = sites[static_cast<std::size_t>(pj[idx])];
+      const double want = md::normSquared(box.minimumImage(a, b));
+      expectBitEqual(r2[idx], want, "r2", k, simd::isaName(isa));
     }
   }
 }

@@ -114,6 +114,24 @@ TEST(Cli, ClientsPastTheVertexServerCapAreUsageErrors) {
   }
 }
 
+TEST(Cli, ClientTimeoutsRejectNanAndNonPositive) {
+  // A NaN deadline never passes, so `submit --wait-timeout nan` would wait
+  // for ever: every client timeout exits 2 before anything is dialed.
+  for (const std::string bad : {"nan", "0", "-1"}) {
+    const std::vector<std::vector<std::string>> runs = {
+        {"submit", "--port", "1", "--wait-timeout", bad},
+        {"submit", "--port", "1", "--connect-timeout", bad},
+        {"status", "--port", "1", "--connect-timeout", bad},
+        {"cancel", "--port", "1", "--job", "1", "--connect-timeout", bad},
+    };
+    for (const auto& argv : runs) {
+      const auto r = cli(argv);
+      EXPECT_EQ(r.code, 2) << argv[0] << " " << argv[argv.size() - 2] << " " << bad;
+      EXPECT_NE(r.err.find(argv[argv.size() - 2]), std::string::npos) << r.err;
+    }
+  }
+}
+
 TEST(Cli, NoCommandPrintsInfo) {
   const auto r = cli({});
   EXPECT_EQ(r.code, 0);
@@ -498,6 +516,49 @@ void writeCompleteTrace(const std::filesystem::path& path) {
 }
 
 }  // namespace trace_fixture
+
+TEST(Cli, IntFlagsPastIntRangeAreUsageErrors) {
+  // 4294967297 is 2^32 + 1: a cast to int would silently make it 1.  Each
+  // run exits 2 naming its flag; the daemon runs carry --workers 1
+  // --wait-timeout 0.2 so that they would end promptly if it were taken.
+  namespace fs = std::filesystem;
+  const fs::path capture = fs::temp_directory_path() / "sfopt_cli_top_wrap.jsonl";
+  trace_fixture::writeCompleteTrace(capture);
+  const std::string big = "4294967297";
+  const std::vector<std::pair<std::string, std::vector<std::string>>> runs = {
+      {"workers",
+       {"serve", "--port", "0", "--workers", big, "--wait-timeout", "0.2", "--function",
+        "sphere", "--dim", "2"}},
+      {"workers",
+       {"optimize", "--function", "sphere", "--dim", "2", "--algorithm", "mn", "--mw",
+        "--workers", big, "--max-iterations", "5"}},
+      {"max-concurrent",
+       {"serve", "--daemon", "--port", "0", "--max-concurrent", big, "--workers", "1",
+        "--wait-timeout", "0.2"}},
+      {"max-queued",
+       {"serve", "--daemon", "--port", "0", "--max-queued", big, "--workers", "1",
+        "--wait-timeout", "0.2"}},
+      {"connect-attempts", {"worker", "--port", "1", "--connect-attempts", big}},
+      {"particles",
+       {"optimize", "--algorithm", "pso", "--particles", big, "--function", "sphere", "--dim",
+        "2", "--max-iterations", "5"}},
+      {"molecules", {"md", "--molecules", big}},
+      {"equilibration",
+       {"md", "--molecules", "8", "--cutoff", "3", "--equilibration", big, "--production",
+        "20"}},
+      {"production", {"md", "--molecules", "8", "--cutoff", "3", "--production", big}},
+      {"sample-every",
+       {"md", "--molecules", "8", "--cutoff", "3", "--production", "20", "--sample-every",
+        big}},
+      {"top", {"trace", capture.string(), "--top", big}},
+  };
+  for (const auto& [flag, argv] : runs) {
+    const auto r = cli(argv);
+    EXPECT_EQ(r.code, 2) << argv[0] << " --" << flag;
+    EXPECT_NE(r.err.find("--" + flag), std::string::npos) << r.err;
+  }
+  fs::remove(capture);
+}
 
 TEST(Cli, TraceVerifiesCompleteSpanTrees) {
   namespace fs = std::filesystem;

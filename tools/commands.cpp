@@ -5,6 +5,7 @@
 #include <csignal>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <chrono>
 #include <cmath>
@@ -102,6 +103,19 @@ double secondsFlag(const Args& args, const std::string& flag, double fallback,
                    "> 0 seconds");
   }
   return seconds;
+}
+
+/// An int flag that must lie in [lo, hi].  Anything outside, including a
+/// value that a cast to int would wrap (4294967297 would become 1), is a
+/// usage error naming the flag.
+int intFlag(const Args& args, const std::string& flag, int fallback, int lo,
+            int hi = std::numeric_limits<int>::max()) {
+  const std::int64_t value = args.getInt(flag, fallback);
+  if (value < lo || value > hi) {
+    throw ArgError("--" + flag + " must be in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+  }
+  return static_cast<int>(value);
 }
 
 /// Evaluation-pipeline knobs of `water` (a JobSpec carries them for the
@@ -352,7 +366,7 @@ int runOptimizeCommand(const Args& args, std::ostream& out) {
   core::OptimizationResult res;
   if (algo == "pso") {
     core::PsoOptions o;
-    o.particles = static_cast<int>(args.getInt("particles", 20));
+    o.particles = intFlag(args, "particles", 20, 2);
     o.termination = terminationFrom(args);
     o.resample.maxRoundsPerComparison = 8;
     o.recordTrace = wantTrace;
@@ -382,7 +396,7 @@ int runOptimizeCommand(const Args& args, std::ostream& out) {
         options);
     if (args.getBool("mw", false)) {
       mw::MWRunConfig cfg;
-      cfg.workers = static_cast<int>(args.getInt("workers", 0));
+      cfg.workers = intFlag(args, "workers", 0, 0);
       cfg.clientsPerWorker = static_cast<int>(spec.objective.clients);
       cfg.telemetry = tel;
       const auto run = mw::runSimplexOverMW(objective, start, options, cfg);
@@ -474,16 +488,15 @@ int runProbeCommand(const Args& args, std::ostream& out) {
 int runMdCommand(const Args& args, std::ostream& out) {
   applyIsaFlag(args);
   md::SimulationConfig cfg;
-  cfg.molecules = static_cast<int>(args.getInt("molecules", 64));
+  cfg.molecules = intFlag(args, "molecules", 64, 2);
   cfg.temperatureK = args.getDouble("temperature", 298.0);
   cfg.densityGramsPerCc = args.getDouble("density", 0.997);
   cfg.dtPs = args.getDouble("dt", 0.0005);
   cfg.cutoff = args.getDouble("cutoff", 4.0);
-  cfg.equilibrationSteps = static_cast<int>(args.getInt("equilibration", 200));
-  cfg.productionSteps = static_cast<int>(args.getInt("production", 400));
-  cfg.sampleEvery = static_cast<int>(args.getInt("sample-every", 10));
+  cfg.equilibrationSteps = intFlag(args, "equilibration", 200, 0);
+  cfg.productionSteps = intFlag(args, "production", 400, 1);
+  cfg.sampleEvery = intFlag(args, "sample-every", 10, 1);
   cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 12345));
-  if (cfg.molecules < 1) throw ArgError("--molecules must be >= 1");
 
   md::WaterParameters params = md::tip4pPublished();
   params.epsilon = args.getDouble("epsilon", params.epsilon);
@@ -560,10 +573,8 @@ int runServeCommand(const Args& args, std::ostream& out) {
 
   service::ServiceOptions svcOpts;
   if (daemon) {
-    svcOpts.maxConcurrentJobs = static_cast<int>(args.getInt("max-concurrent", 2));
-    svcOpts.maxQueuedJobs = static_cast<int>(args.getInt("max-queued", 8));
-    if (svcOpts.maxConcurrentJobs < 1) throw ArgError("--max-concurrent must be >= 1");
-    if (svcOpts.maxQueuedJobs < 0) throw ArgError("--max-queued must be >= 0");
+    svcOpts.maxConcurrentJobs = intFlag(args, "max-concurrent", 2, 1);
+    svcOpts.maxQueuedJobs = intFlag(args, "max-queued", 8, 0);
     const auto maxPending = args.getInt("max-pending-shards", 1024);
     if (maxPending < 1) throw ArgError("--max-pending-shards must be >= 1");
     svcOpts.maxPendingShards = static_cast<std::size_t>(maxPending);
@@ -583,8 +594,7 @@ int runServeCommand(const Args& args, std::ostream& out) {
   // One-shot serve waits for its fleet before the job starts; the daemon
   // waits only when asked to.
   const bool waitForFleet = !daemon || args.has("workers");
-  const int workers = static_cast<int>(args.getInt("workers", 2));
-  if (workers < 1) throw ArgError("--workers must be >= 1");
+  const int workers = intFlag(args, "workers", 2, 1);
   const double waitTimeout = secondsFlag(args, "wait-timeout", 120.0);
   net::TcpCommWorld::Options netOpts;
   netOpts.heartbeatIntervalSeconds = secondsFlag(args, "heartbeat-interval", 2.0, true);
@@ -655,8 +665,7 @@ int runWorkerCommand(const Args& args, std::ostream& out) {
   const std::string host = args.getString("host", "127.0.0.1");
   const auto port = args.getInt("port", 7600);
   if (port < 1 || port > 65535) throw ArgError("--port must be in [1, 65535]");
-  const int attempts = static_cast<int>(args.getInt("connect-attempts", 10));
-  if (attempts < 1) throw ArgError("--connect-attempts must be >= 1");
+  const int attempts = intFlag(args, "connect-attempts", 10, 1);
   const bool reconnect = args.getBool("reconnect", true);
 
   net::TcpWorkerTransport::Options netOpts;
@@ -776,10 +785,10 @@ int runSubmitCommand(const Args& args, std::ostream& out) {
   if (port < 1 || port > 65535) throw ArgError("--port must be in [1, 65535]");
   const service::JobSpec spec = jobSpecFrom(args);
   const bool detach = args.getBool("detach", false);
-  const double waitTimeout = args.getDouble("wait-timeout", 600.0);
+  const double waitTimeout = secondsFlag(args, "wait-timeout", 600.0);
 
   service::ServiceClient client(host, static_cast<std::uint16_t>(port),
-                                args.getDouble("connect-timeout", 10.0));
+                                secondsFlag(args, "connect-timeout", 10.0));
   const service::StatusReply ack = client.submit(spec);
   printStatusReply(out, ack);
   if (ack.state == service::JobState::Rejected) return ack.retryable ? 3 : 2;
@@ -801,7 +810,7 @@ int runStatusCommand(const Args& args, std::ostream& out) {
   const auto jobId = args.getInt("job", 0);
   if (jobId < 0) throw ArgError("--job must be >= 0 (0 = service summary)");
   service::ServiceClient client(host, static_cast<std::uint16_t>(port),
-                                args.getDouble("connect-timeout", 10.0));
+                                secondsFlag(args, "connect-timeout", 10.0));
   const service::StatusReply reply =
       client.status(static_cast<std::uint64_t>(jobId));
   if (jobId == 0) {
@@ -829,7 +838,7 @@ int runCancelCommand(const Args& args, std::ostream& out) {
   const auto jobId = args.getInt("job", 0);
   if (jobId < 1) throw ArgError("--job must be >= 1");
   service::ServiceClient client(host, static_cast<std::uint16_t>(port),
-                                args.getDouble("connect-timeout", 10.0));
+                                secondsFlag(args, "connect-timeout", 10.0));
   const service::StatusReply reply =
       client.cancel(static_cast<std::uint64_t>(jobId));
   printStatusReply(out, reply);
@@ -974,6 +983,7 @@ int runTraceCommand(const Args& args, std::ostream& out) {
         "trace needs the run's JSONL captures: sfopt trace <master.jsonl> "
         "[worker.jsonl ...] [--verify] [--top N]");
   }
+  const int top = intFlag(args, "top", 5, 0);
   std::vector<telemetry::Event> events;
   for (const std::string& path : args.positional()) {
     try {
@@ -990,8 +1000,6 @@ int runTraceCommand(const Args& args, std::ostream& out) {
         << "          flush? (--telemetry-flush S makes partial runs analyzable)\n";
     return 1;
   }
-  const int top = static_cast<int>(args.getInt("top", 5));
-  if (top < 0) throw ArgError("--top must be >= 0");
   const telemetry::TraceReport report = telemetry::analyzeTraceEvents(events, top);
 
   out << events.size() << " events from " << args.positional().size() << " file(s)\n";
