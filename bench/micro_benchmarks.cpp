@@ -167,8 +167,9 @@ BENCHMARK(BM_MessageBufferRoundTrip)->Arg(4)->Arg(100);
 void BM_MdForceEvaluation(benchmark::State& state) {
   auto sys = md::buildWaterLattice(static_cast<int>(state.range(0)), 0.997, 298.0,
                                    md::tip4pPublished(), 4.0, 3);
+  md::ForceScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(md::computeForces(sys));
+    benchmark::DoNotOptimize(md::computeForces(sys, scratch));
   }
   state.SetItemsProcessed(state.iterations() * sys.sites() * (sys.sites() - 1) / 2);
 }
@@ -184,7 +185,7 @@ void BM_MdNeighborRebuild(benchmark::State& state) {
   for (auto _ : state) {
     list.rebuild(sys);
   }
-  state.counters["pairs"] = static_cast<double>(list.pairs().size());
+  state.counters["pairs"] = static_cast<double>(list.table().size());
   state.counters["cells_per_dim"] = list.cellsPerDim();
   state.counters["avg_occupancy"] = list.averageCellOccupancy();
   state.SetItemsProcessed(state.iterations() * sys.sites());
@@ -215,9 +216,10 @@ void BM_MdForceNeighborList(benchmark::State& state) {
     evalSeconds = &tel.metrics().histogram(
         "md.force_eval_seconds", telemetry::Histogram::exponentialBounds(1e-6, 10.0, 7));
   }
+  md::ForceScratch scratch;
   std::int64_t pairs = 0;
   for (auto _ : state) {
-    const auto f = md::computeForces(sys, list);
+    const auto f = md::computeForces(sys, list, scratch);
     if (instrumented) {
       evals->add(1);
       pairsCounter->add(f.pairsEvaluated);

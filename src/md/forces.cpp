@@ -1,14 +1,12 @@
 #include "md/forces.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
 
 #include "simd/dispatch.hpp"
-#include "simd/force_kernel.hpp"
 
 namespace sfopt::md {
 
@@ -87,152 +85,56 @@ void intramolecularForces(const WaterSystem& sys, PairAccumulator& acc, ForceRes
   }
 }
 
-/// Structure-of-arrays snapshot of the system plus the precomputed model
-/// constants, built once per force evaluation.  The reciprocal constants
-/// are the exact IEEE quotients of the force-shifted model's terms.
-struct SimdForceContext {
-  simd::ForceConstants constants;
-  std::vector<double> x, y, z, q, oxy;
-
-  explicit SimdForceContext(const WaterSystem& sys) {
-    const WaterParameters& p = sys.parameters();
-    const double rc = sys.cutoff();
-    const double rc2 = rc * rc;
-    const double s2 = p.sigma * p.sigma;
-    const double inv2 = s2 / rc2;
-    const double inv6 = inv2 * inv2 * inv2;
-    const double inv12 = inv6 * inv6;
-    constants.boxEdge = sys.box().edge();
-    constants.invBoxEdge = 1.0 / sys.box().edge();
-    constants.rc = rc;
-    constants.rc2 = rc2;
-    constants.invRc = 1.0 / rc;
-    constants.invRc2 = 1.0 / rc2;
-    constants.s2 = s2;
-    constants.eps4 = 4.0 * p.epsilon;
-    constants.eps24 = 24.0 * p.epsilon;
-    constants.ljErc = 4.0 * p.epsilon * (inv12 - inv6);
-    constants.ljFrc = 24.0 * p.epsilon * (2.0 * inv12 - inv6) / rc2 * rc;
-    constants.coulombScale = kCoulomb;
-    const auto n = static_cast<std::size_t>(sys.sites());
-    x.resize(n);
-    y.resize(n);
-    z.resize(n);
-    q.resize(n);
-    oxy.resize(n);
-    for (std::size_t s = 0; s < n; ++s) {
-      x[s] = sys.positions[s].x;
-      y[s] = sys.positions[s].y;
-      z[s] = sys.positions[s].z;
-      const int site = static_cast<int>(s);
-      q[s] = sys.chargeOf(site);
-      oxy[s] = sys.speciesOf(site) == Species::Oxygen ? 1.0 : 0.0;
-    }
+/// The force-shifted model's constants for this system.  The reciprocals
+/// are the exact IEEE quotients of the model's terms, and qq is the
+/// per-pair charge product (C q_a) q_b of each species code.
+simd::ForceConstants forceConstants(const WaterSystem& sys) {
+  const WaterParameters& p = sys.parameters();
+  const double rc = sys.cutoff();
+  const double rc2 = rc * rc;
+  const double s2 = p.sigma * p.sigma;
+  const double inv2 = s2 / rc2;
+  const double inv6 = inv2 * inv2 * inv2;
+  const double inv12 = inv6 * inv6;
+  simd::ForceConstants c;
+  c.boxEdge = sys.box().edge();
+  c.invBoxEdge = 1.0 / sys.box().edge();
+  c.rc = rc;
+  c.rc2 = rc2;
+  c.invRc = 1.0 / rc;
+  c.invRc2 = 1.0 / rc2;
+  c.s2 = s2;
+  c.eps4 = 4.0 * p.epsilon;
+  c.eps24 = 24.0 * p.epsilon;
+  c.ljErc = 4.0 * p.epsilon * (inv12 - inv6);
+  c.ljFrc = 24.0 * p.epsilon * (2.0 * inv12 - inv6) / rc2 * rc;
+  // Site 0 is an oxygen and site 1 a hydrogen.
+  const double q[2] = {sys.chargeOf(0), sys.chargeOf(1)};
+  for (int a = 0; a < 2; ++a) {
+    for (int b = 0; b < 2; ++b) c.qq[2 * a + b] = (kCoulomb * q[a]) * q[b];
   }
-};
+  return c;
+}
 
-/// Streams pairs through the dispatched per-pair kernel in fixed-size
-/// blocks and drains each block scalar, in pair-stream order.  The kernel
-/// lanes are pure (a pair's values depend only on its own inputs) and the
-/// tail group is padded so every pair runs through identical full-width
-/// SIMD instructions — so the drained result depends only on the pair
-/// stream, never on where block or lane boundaries fell.  Any two
-/// enumerations of the same contributing pairs in the same order (the
-/// all-pairs triangle vs the neighbor list) therefore stay bitwise equal.
-/// Every ISA, the scalar one included, takes this path.
-class SimdPairStream {
- public:
-  SimdPairStream(const SimdForceContext& ctx, PairAccumulator& acc, ForceResult& out)
-      : ctx_(ctx), acc_(acc), out_(out) {}
-
-  void add(int i, int j) {
-    idxI_[static_cast<std::size_t>(count_)] = i;
-    idxJ_[static_cast<std::size_t>(count_)] = j;
-    if (++count_ == simd::kForceBlockPairs) flush();
-  }
-
-  void finish() {
-    if (count_ > 0) flush();
-  }
-
- private:
-  void flush() {
-    // Pad the tail group with the last real pair; padded lanes are
-    // computed and discarded.
-    std::int64_t padded = count_;
-    while (padded % simd::kForceLaneGroup != 0) {
-      idxI_[static_cast<std::size_t>(padded)] = idxI_[static_cast<std::size_t>(count_ - 1)];
-      idxJ_[static_cast<std::size_t>(padded)] = idxJ_[static_cast<std::size_t>(count_ - 1)];
-      ++padded;
-    }
-    const simd::ForcePairBlockIn in{ctx_.x.data(), ctx_.y.data(),   ctx_.z.data(),
-                                    ctx_.q.data(), ctx_.oxy.data(), idxI_.data(),
-                                    idxJ_.data(),  count_};
-    const simd::ForcePairBlockOut block{dx_.data(),       dy_.data(),  dz_.data(),
-                                        coulombE_.data(), coulombS_.data(),
-                                        ljE_.data(),      ljS_.data(),
-                                        within_.data(),   coulombOn_.data(),
-                                        ljOn_.data()};
-    simd::forcePairBlock(ctx_.constants, in, block);
-    // Only pairs inside the cutoff contribute: compact their positions,
-    // branch-free and in stream order, then drain those alone (Coulomb
-    // term, then LJ, per pair).
-    std::int64_t hits = 0;
-    for (std::int64_t k = 0; k < count_; ++k) {
-      hits_[static_cast<std::size_t>(hits)] = static_cast<std::int32_t>(k);
-      hits += within_[static_cast<std::size_t>(k)];
-    }
-    for (std::int64_t h = 0; h < hits; ++h) {
-      const auto uk = static_cast<std::size_t>(hits_[static_cast<std::size_t>(h)]);
-      const Vec3 rij{dx_[uk], dy_[uk], dz_[uk]};
-      if (coulombOn_[uk] != 0) {
-        out_.coulomb += coulombE_[uk];
-        acc_.apply(idxI_[uk], idxJ_[uk], rij, rij * coulombS_[uk]);
-      }
-      if (ljOn_[uk] != 0) {
-        out_.lennardJones += ljE_[uk];
-        acc_.apply(idxI_[uk], idxJ_[uk], rij, rij * ljS_[uk]);
-      }
-    }
-    count_ = 0;
-  }
-
-  static constexpr std::size_t kCap = static_cast<std::size_t>(simd::kForceBlockPairs);
-
-  const SimdForceContext& ctx_;
-  PairAccumulator& acc_;
-  ForceResult& out_;
-  std::int64_t count_ = 0;
-  // Block scratch, deliberately left uninitialized: flush() writes every
-  // slot it reads (the kernel fills each output up to the padded count).
-  std::array<std::int32_t, kCap> idxI_;
-  std::array<std::int32_t, kCap> idxJ_;
-  std::array<std::int32_t, kCap> hits_;
-  std::array<double, kCap> dx_, dy_, dz_;
-  std::array<double, kCap> coulombE_, coulombS_, ljE_, ljS_;
-  std::array<std::uint8_t, kCap> within_, coulombOn_, ljOn_;
-};
-
-}  // namespace
-
-ForceResult computeForces(WaterSystem& sys) {
+/// Nonbonded terms of every pair of `table` through the dispatched force
+/// kernel, then the intramolecular ones.  The kernel's force rows start at
+/// zero and take the pairs' terms in stream order, exactly as the
+/// zero-filled sys.forces would, so copying them out keeps every bit.
+ForceResult evaluate(WaterSystem& sys, const PairTable& table, ForceScratch& scratch) {
   const auto start = Clock::now();
-  ForceResult out;
-  for (auto& f : sys.forces) f = Vec3{};
-  PairAccumulator acc{sys.forces};
-  const int n = sys.sites();
-  const SimdForceContext ctx(sys);
-  SimdPairStream stream(ctx, acc, out);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
-      stream.add(i, j);
-    }
+  snapshotPositions(sys.positions, scratch.xyz0);
+  scratch.force0.assign(sys.positions.size(), simd::SiteRow{});
+  simd::ForceSums sums;
+  simd::forcePairs(forceConstants(sys), table.slice(), scratch.xyz0.data(),
+                   scratch.force0.data(), sums);
+  for (std::size_t s = 0; s < sys.forces.size(); ++s) {
+    sys.forces[s] = {scratch.force0[s].x, scratch.force0[s].y, scratch.force0[s].z};
   }
-  stream.finish();
-  // All intermolecular i<j pairs: the full triangle minus the 3 pairs
-  // internal to each of the molecules.
-  out.pairsEvaluated = static_cast<std::int64_t>(n) * (n - 1) / 2 - 3LL * sys.molecules();
+  ForceResult out;
+  out.coulomb = sums.coulomb;
+  out.lennardJones = sums.lennardJones;
+  out.pairsEvaluated = static_cast<std::int64_t>(table.size());
+  PairAccumulator acc{sys.forces, sums.virial};
   intramolecularForces(sys, acc, out);
   out.potential = out.lennardJones + out.coulomb + out.intramolecular;
   out.virial = acc.virial;
@@ -240,23 +142,24 @@ ForceResult computeForces(WaterSystem& sys) {
   return out;
 }
 
+}  // namespace
+
+ForceResult computeForces(WaterSystem& sys, ForceScratch& scratch) {
+  return evaluate(sys, scratch.allPairs.table(sys), scratch);
+}
+
+ForceResult computeForces(WaterSystem& sys, const NeighborList& list, ForceScratch& scratch) {
+  return evaluate(sys, list.table(), scratch);
+}
+
+ForceResult computeForces(WaterSystem& sys) {
+  ForceScratch scratch;
+  return computeForces(sys, scratch);
+}
+
 ForceResult computeForces(WaterSystem& sys, const NeighborList& list) {
-  const auto start = Clock::now();
-  ForceResult out;
-  for (auto& f : sys.forces) f = Vec3{};
-  PairAccumulator acc{sys.forces};
-  const SimdForceContext ctx(sys);
-  SimdPairStream stream(ctx, acc, out);
-  for (const auto& [i, j] : list.pairs()) {
-    stream.add(i, j);
-  }
-  stream.finish();
-  out.pairsEvaluated = static_cast<std::int64_t>(list.pairs().size());
-  intramolecularForces(sys, acc, out);
-  out.potential = out.lennardJones + out.coulomb + out.intramolecular;
-  out.virial = acc.virial;
-  out.evalSeconds = secondsSince(start);
-  return out;
+  ForceScratch scratch;
+  return computeForces(sys, list, scratch);
 }
 
 TailCorrections ljTailCorrections(const WaterSystem& sys) {

@@ -1,9 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "md/intermolecular_pairs.hpp"
 #include "md/neighbor_list.hpp"
 #include "md/system.hpp"
+#include "simd/force_kernel.hpp"
 
 namespace sfopt::md {
 
@@ -43,6 +46,16 @@ struct MdPerfCounters {
   MdPerfCounters& operator+=(const MdPerfCounters& o) noexcept;
 };
 
+/// Buffers that one integrator's force evaluations reuse from call to
+/// call, so an evaluation allocates nothing: the all-pairs path's pair
+/// table (built once per site count), the kernels' position snapshot and
+/// their force accumulator.  Never shared between threads.
+struct ForceScratch {
+  IntermolecularPairs allPairs;
+  std::vector<simd::SiteRow> xyz0;
+  std::vector<simd::SiteRow> force0;
+};
+
 /// Compute forces into sys.forces (overwriting) and return the energy
 /// decomposition.
 ///
@@ -55,12 +68,17 @@ struct MdPerfCounters {
 ///    of compact MD codes;
 ///  * harmonic O-H bonds and H-O-H angle (flexible SPC/Fw-style geometry).
 /// Intramolecular site pairs are excluded from the nonbonded terms.
-[[nodiscard]] ForceResult computeForces(WaterSystem& sys);
+[[nodiscard]] ForceResult computeForces(WaterSystem& sys, ForceScratch& scratch);
 
 /// Same computation, but the nonbonded loop walks only the neighbor
 /// list's pairs (the list must be current: call list.update(sys) first).
 /// Identical results to the all-pairs path whenever the list radius
 /// covers the cutoff — pinned down by the equivalence tests.
+[[nodiscard]] ForceResult computeForces(WaterSystem& sys, const NeighborList& list,
+                                        ForceScratch& scratch);
+
+/// One-off evaluations (tests, tools): the same, on a fresh scratch.
+[[nodiscard]] ForceResult computeForces(WaterSystem& sys);
 [[nodiscard]] ForceResult computeForces(WaterSystem& sys, const NeighborList& list);
 
 /// Instantaneous virial pressure in atm:

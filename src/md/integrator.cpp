@@ -30,9 +30,9 @@ ForceResult VelocityVerlet::evaluateForces() {
   ForceResult result;
   if (list_) {
     (void)list_->update(sys_);
-    result = computeForces(sys_, *list_);
+    result = computeForces(sys_, *list_, scratch_);
   } else {
-    result = computeForces(sys_);
+    result = computeForces(sys_, scratch_);
   }
   ++forceEvaluations_;
   pairsEvaluated_ += result.pairsEvaluated;

@@ -60,6 +60,7 @@ class VelocityVerlet {
   WaterSystem& sys_;
   Options options_;
   std::unique_ptr<NeighborList> list_;
+  ForceScratch scratch_;
   ForceResult last_;
   std::int64_t forceEvaluations_ = 0;
   std::int64_t pairsEvaluated_ = 0;

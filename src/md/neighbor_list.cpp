@@ -8,6 +8,16 @@
 
 namespace sfopt::md {
 
+namespace {
+
+/// kAuto's crossover.  At 3 cells per dimension the half stencil reaches
+/// every cell, so a cell rebuild visits every pair and then sorts them: it
+/// lost to the brute scan at every size measured.  From 4 it visits at
+/// most 27/64 of the pairs and won from 648 sites up (DESIGN.md §9.1).
+constexpr int kAutoCellsPerDimension = 4;
+
+}  // namespace
+
 NeighborList::NeighborList(double cutoff, double skin, NeighborStrategy strategy)
     : cutoff_(cutoff), skin_(skin), strategy_(strategy) {
   if (!(cutoff > 0.0)) throw std::invalid_argument("NeighborList: cutoff must be positive");
@@ -21,44 +31,49 @@ void NeighborList::rebuild(const WaterSystem& sys) {
   }
   const double r2 = listRadius * listRadius;
   const int n = sys.sites();
-  pairs_.clear();
 
-  const bool wantCells = strategy_ == NeighborStrategy::kCellList ||
-                         (strategy_ == NeighborStrategy::kAuto &&
-                          CellList::admits(sys.box(), listRadius));
+  const bool wantCells =
+      strategy_ == NeighborStrategy::kCellList ||
+      (strategy_ == NeighborStrategy::kAuto &&
+       CellList::cellsPerDimension(sys.box(), listRadius) >= kAutoCellsPerDimension);
   if (wantCells) {
     CellList cells(sys.box(), listRadius);
     cells.bin(sys.positions);
     // dr is the displacement under the cell-adjacency image; within the
     // list radius it coincides with the minimum image (cell edge >=
     // radius), so no per-pair minimum-image computation is needed.
+    cellPairs_.clear();
     cells.forEachCandidatePair([&](int i, int j, const Vec3& dr) {
       if (normSquared(dr) < r2 && sys.moleculeOf(i) != sys.moleculeOf(j)) {
-        pairs_.emplace_back(i, j);
+        cellPairs_.emplace_back(i, j);
       }
     });
-    // Canonicalize to the brute-force scan order so the serial force
-    // path sums contributions identically under either strategy.  Cell
-    // enumeration emits pairs grouped by cell, so a counting sort on i
-    // (O(P + N)) plus tiny per-i sorts on j beats a comparison sort.
-    sortScratch_.resize(pairs_.size());
+    // Canonicalize to the brute-force scan order so the force kernel sums
+    // contributions identically under either strategy.  Cell enumeration
+    // emits pairs grouped by cell, so a counting sort on i (O(P + N)) plus
+    // tiny per-i sorts on j beats a comparison sort.
+    sortScratch_.resize(cellPairs_.size());
     countScratch_.assign(static_cast<std::size_t>(n) + 1, 0);
-    for (const auto& [i, j] : pairs_) ++countScratch_[static_cast<std::size_t>(i) + 1];
+    for (const auto& [i, j] : cellPairs_) ++countScratch_[static_cast<std::size_t>(i) + 1];
     for (std::size_t i = 1; i < countScratch_.size(); ++i) {
       countScratch_[i] += countScratch_[i - 1];
     }
-    for (const auto& p : pairs_) {
+    for (const auto& p : cellPairs_) {
       sortScratch_[static_cast<std::size_t>(
           countScratch_[static_cast<std::size_t>(p.first)]++)] = p;
     }
-    pairs_.swap(sortScratch_);
     // countScratch_[i] now ends each i's segment; walk the segments.
     std::size_t begin = 0;
     for (int i = 0; i < n; ++i) {
       const auto end = static_cast<std::size_t>(countScratch_[static_cast<std::size_t>(i)]);
-      std::sort(pairs_.begin() + static_cast<std::ptrdiff_t>(begin),
-                pairs_.begin() + static_cast<std::ptrdiff_t>(end));
+      std::sort(sortScratch_.begin() + static_cast<std::ptrdiff_t>(begin),
+                sortScratch_.begin() + static_cast<std::ptrdiff_t>(end));
       begin = end;
+    }
+    table_.resize(sortScratch_.size());
+    for (std::size_t k = 0; k < sortScratch_.size(); ++k) {
+      const auto [i, j] = sortScratch_[k];
+      table_.set(k, i, j, pairSpecies(sys, i, j));
     }
     usedCells_ = true;
     cellsPerDim_ = cells.cellsPerDim();
@@ -69,20 +84,20 @@ void NeighborList::rebuild(const WaterSystem& sys) {
     // SIMD kernel, then a branch-free compaction of those inside the
     // list radius; the candidates are already in ascending (i, j) order.
     const std::span<const double> d2 = allPairs_.distancesSquared(sys);
-    const std::int32_t* first = allPairs_.first();
-    const std::int32_t* second = allPairs_.second();
-    pairs_.resize(d2.size());
+    const PairTable& all = allPairs_.table(sys);
+    table_.resize(d2.size());
     std::size_t kept = 0;
     for (std::size_t k = 0; k < d2.size(); ++k) {
-      pairs_[kept] = {first[k], second[k]};
+      table_.set(kept, all.first()[k], all.second()[k], all.species()[k]);
       kept += d2[k] < r2 ? 1 : 0;
     }
-    pairs_.resize(kept);
+    table_.resize(kept);
     usedCells_ = false;
     cellsPerDim_ = 0;
     avgOccupancy_ = 0.0;
     maxOccupancy_ = 0;
   }
+  table_.pad();
   referencePositions_ = sys.positions;
   ++rebuilds_;
 }

@@ -10,7 +10,7 @@ namespace sfopt::md {
 
 /// How NeighborList::rebuild enumerates candidate pairs.
 enum class NeighborStrategy {
-  kAuto,        ///< cell list when the box admits >= 3 cells/dim, else brute force
+  kAuto,        ///< cell list from 4 cells/dim up (the measured crossover), else brute force
   kBruteForce,  ///< always the O(N^2) all-pairs scan
   kCellList,    ///< always the O(N) cell list (throws on too-small boxes)
 };
@@ -21,11 +21,11 @@ enum class NeighborStrategy {
 /// inside the cutoff to be missing from the list).
 ///
 /// Rebuilds go through a linked-cell decomposition (`CellList`) in O(N)
-/// whenever the box admits >= 3 cells per dimension at the list radius,
-/// falling back to the O(N^2) all-pairs scan for small boxes (a cached
-/// intermolecular pair list through the SIMD distance kernel).  Either
-/// way the pair list is emitted in ascending (i, j) order, so the force
-/// loop's accumulation order — and hence every trajectory bit — is
+/// whenever the box holds >= 4 cells per dimension at the list radius,
+/// falling back to the O(N^2) all-pairs scan for smaller boxes (a cached
+/// intermolecular pair table through the SIMD distance kernel).  Either
+/// way the pair table is filled in ascending (i, j) order, so the force
+/// kernel's accumulation order — and hence every trajectory bit — is
 /// independent of the build strategy.
 class NeighborList {
  public:
@@ -44,9 +44,8 @@ class NeighborList {
   /// Rebuild if needed; returns true when a rebuild happened.
   bool update(const WaterSystem& sys);
 
-  [[nodiscard]] const std::vector<std::pair<int, int>>& pairs() const noexcept {
-    return pairs_;
-  }
+  /// The listed pairs, ascending (i, j) under either strategy.
+  [[nodiscard]] const PairTable& table() const noexcept { return table_; }
   [[nodiscard]] double cutoff() const noexcept { return cutoff_; }
   [[nodiscard]] double skin() const noexcept { return skin_; }
   [[nodiscard]] NeighborStrategy strategy() const noexcept { return strategy_; }
@@ -67,8 +66,9 @@ class NeighborList {
   double cutoff_;
   double skin_;
   NeighborStrategy strategy_;
-  std::vector<std::pair<int, int>> pairs_;
+  PairTable table_;
   IntermolecularPairs allPairs_;                  ///< brute-force candidates
+  std::vector<std::pair<int, int>> cellPairs_;    ///< cell-list candidates, unsorted
   std::vector<std::pair<int, int>> sortScratch_;  ///< counting-sort scratch
   std::vector<int> countScratch_;                 ///< per-site pair counts
   std::vector<Vec3> referencePositions_;

@@ -14,21 +14,18 @@ RdfAccumulator::RdfAccumulator(double rMax, int bins)
 }
 
 void RdfAccumulator::addFrame(const WaterSystem& sys) {
+  // PairKind by species code: O-O, O-H, H-O, H-H.
+  constexpr std::size_t kKindOf[4] = {static_cast<std::size_t>(PairKind::OO),
+                                      static_cast<std::size_t>(PairKind::OH),
+                                      static_cast<std::size_t>(PairKind::OH),
+                                      static_cast<std::size_t>(PairKind::HH)};
   const std::span<const double> d2 = pairs_.distancesSquared(sys);
-  if (kinds_.size() != d2.size()) {
-    kinds_.resize(d2.size());
-    for (std::size_t k = 0; k < d2.size(); ++k) {
-      const bool iO = sys.speciesOf(pairs_.first()[k]) == Species::Oxygen;
-      const bool jO = sys.speciesOf(pairs_.second()[k]) == Species::Oxygen;
-      const PairKind kind = iO && jO ? PairKind::OO : (iO != jO ? PairKind::OH : PairKind::HH);
-      kinds_[k] = static_cast<std::uint8_t>(kind);
-    }
-  }
+  const std::uint8_t* species = pairs_.table(sys).species();
   const auto overflow = static_cast<std::size_t>(bins_);
   for (std::size_t k = 0; k < d2.size(); ++k) {
     const double r = std::sqrt(d2[k]);
     const std::size_t bin = r < rMax_ ? static_cast<std::size_t>(r / dr_) : overflow;
-    ++hist_[kinds_[k]][bin];
+    ++hist_[kKindOf[species[k]]][bin];
   }
   ++frames_;
 }

@@ -28,7 +28,7 @@ class RdfAccumulator {
 
   /// Bin all intermolecular site pairs of the current frame (their
   /// distances come from the SIMD distance kernel over a cached pair
-  /// list).
+  /// table, their kinds from its species codes).
   void addFrame(const WaterSystem& sys);
 
   [[nodiscard]] int frames() const noexcept { return frames_; }
@@ -50,7 +50,6 @@ class RdfAccumulator {
   /// pairs at or beyond rMax, so binning needs no branch.
   std::array<std::vector<std::uint64_t>, 3> hist_;
   IntermolecularPairs pairs_;
-  std::vector<std::uint8_t> kinds_;  ///< PairKind of each cached pair
 };
 
 /// Accumulates oxygen mean-square displacement against the starting frame

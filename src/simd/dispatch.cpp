@@ -12,50 +12,49 @@ namespace {
 std::atomic<std::int64_t> g_welfordChunks{0};
 std::atomic<std::int64_t> g_forceBlocks{0};
 
-struct KernelTable {
-  detail::WelfordChunkFn welford;
-  detail::ForcePairBlockFn force;
-  detail::PairDistancesFn distances;
-};
+}  // namespace
 
-KernelTable tableFor(Isa isa) noexcept {
+namespace detail {
+
+KernelTable kernelsFor(Isa isa) noexcept {
   switch (isa) {
 #if defined(__x86_64__) || defined(__i386__)
     case Isa::Sse4:
-      return {detail::welfordChunkSse4, detail::forcePairBlockSse4, detail::pairDistancesSse4};
+      return {welfordChunkSse4, forcePairsSse4, packPairsSse4, pairTermsSse4, pairDistancesSse4};
     case Isa::Avx2:
-      return {detail::welfordChunkAvx2, detail::forcePairBlockAvx2, detail::pairDistancesAvx2};
+      return {welfordChunkAvx2, forcePairsAvx2, packPairsAvx2, pairTermsAvx2, pairDistancesAvx2};
 #endif
 #if defined(__aarch64__)
     case Isa::Neon:
-      return {detail::welfordChunkNeon, detail::forcePairBlockNeon, detail::pairDistancesScalar};
+      return {welfordChunkNeon, forcePairsScalar, packPairsScalar, pairTermsScalar,
+              pairDistancesScalar};
 #endif
     default:
-      return {detail::welfordChunkScalar, detail::forcePairBlockScalar,
-              detail::pairDistancesScalar};
+      return {welfordChunkScalar, forcePairsScalar, packPairsScalar, pairTermsScalar,
+              pairDistancesScalar};
   }
 }
 
-}  // namespace
+}  // namespace detail
 
 stats::Welford welfordChunk(std::span<const double> samples) {
   g_welfordChunks.fetch_add(1, std::memory_order_relaxed);
   std::int64_t n = 0;
   double mean = 0.0;
   double m2 = 0.0;
-  tableFor(activeIsa()).welford(samples.data(), static_cast<std::int64_t>(samples.size()), &n,
+  detail::kernelsFor(activeIsa()).welford(samples.data(), static_cast<std::int64_t>(samples.size()), &n,
                                 &mean, &m2);
   return stats::Welford::fromMoments(n, mean, m2);
 }
 
-void forcePairBlock(const ForceConstants& c, const ForcePairBlockIn& in,
-                    const ForcePairBlockOut& out) {
+void forcePairs(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
+                SiteRow* force0, ForceSums& sums) {
   g_forceBlocks.fetch_add(1, std::memory_order_relaxed);
-  tableFor(activeIsa()).force(c, in, out);
+  detail::kernelsFor(activeIsa()).force(c, pairs, xyz0, force0, sums);
 }
 
 void pairDistancesSquared(const PairDistanceIn& in, double* r2) {
-  tableFor(activeIsa()).distances(in, r2);
+  detail::kernelsFor(activeIsa()).distances(in, r2);
 }
 
 DispatchCounts dispatchCounts() noexcept {

@@ -2,24 +2,58 @@
 
 #include <cstdint>
 
+// The MD kernels' ABI.  A pair table (md::PairTable) holds every pair as
+// SoA first site, second site and species code, fixed when the table is
+// built; the kernels read slices of it by pointer, positions as 32-byte
+// SiteRow snapshots, and the per-evaluation ForceConstants.
+// md::computeForces makes one simd::forcePairs call per evaluation, which
+// is what the simd.dispatch.force_blocks gauge counts.  NEON runs the
+// scalar force and distance kernels.
+
 namespace sfopt::simd {
 
-/// Pairs per dispatched force block.  A multiple of every lane width (2,
-/// 4) so a full block never needs tail padding; callers of partial blocks
-/// pad the index arrays up to the next kForceLaneGroup boundary.
+/// Pairs per force-kernel block.  A kernel runs its passes over one block
+/// of a slice at a time, on stack scratch of this size; a multiple of
+/// every lane width (2, 4).
 inline constexpr std::int64_t kForceBlockPairs = 256;
 
-/// Index arrays handed to forcePairBlock must be padded (with any valid
-/// site index, conventionally the last real pair's) to a multiple of this
-/// group size, so every pair — tail included — is computed by identical
-/// full-width SIMD instructions.  Covers the widest lane count (AVX2: 4)
-/// with headroom for a future 8-lane level.
+/// Pair tables are padded (with copies of their last real pair) to a
+/// multiple of this group size, so every pair, tail included, is read by
+/// the same full-width SIMD instructions.  Covers the widest lane count
+/// (AVX2: 4) with headroom for a future 8-lane level.
 inline constexpr std::int64_t kForceLaneGroup = 8;
 
-/// Precomputed per-evaluation constants of the force-shifted nonbonded
-/// model (see md/forces.cpp).  All reciprocals are the exact IEEE
-/// quotients the scalar kernel computes at runtime, so using them keeps
-/// the SIMD math on the same values.
+/// Species code of a pair, fixed when its table is built:
+/// 2 * species(first site) + species(second site), oxygen 0, hydrogen 1.
+/// O-H and H-O stay distinct codes because their charge products
+/// (C q_a) q_b may differ in the last bit.
+enum PairSpecies : std::uint8_t { kPairOO = 0, kPairOH = 1, kPairHO = 2, kPairHH = 3 };
+
+/// A run of a pair table's entries in SoA form.  The arrays must stay
+/// readable up to the next kForceLaneGroup multiple of `count`; a table's
+/// padding guarantees that for any slice starting on a lane-group
+/// boundary.
+struct PairSlice {
+  const std::int32_t* i = nullptr;        ///< first sites
+  const std::int32_t* j = nullptr;        ///< second sites
+  const std::uint8_t* species = nullptr;  ///< PairSpecies codes
+  std::int64_t count = 0;
+};
+
+/// One site's row of the kernels' position snapshot (x, y, z, 0) or force
+/// accumulator: 32 bytes, so one AVX2 load reads a whole site.  No member
+/// initializers, so the kernels' stack rows cost nothing to declare; a
+/// value-initialized row (`SiteRow{}`, `std::vector<SiteRow>(n)`) is zero.
+struct alignas(32) SiteRow {
+  double x;
+  double y;
+  double z;
+  double pad;  ///< 0 in a position snapshot; unspecified in forces
+};
+
+/// Per-evaluation constants of the force-shifted nonbonded model (see
+/// md/forces.cpp).  The reciprocals are the exact IEEE quotients the
+/// formulas would compute at run time.  LJ acts on O-O pairs only.
 struct ForceConstants {
   double boxEdge = 0.0;     ///< cubic box edge L
   double invBoxEdge = 0.0;  ///< 1/L
@@ -32,56 +66,26 @@ struct ForceConstants {
   double eps24 = 0.0;       ///< 24 epsilon
   double ljErc = 0.0;       ///< LJ energy at the cutoff (shift)
   double ljFrc = 0.0;       ///< LJ force magnitude at the cutoff (shift)
-  double coulombScale = 0.0;  ///< Coulomb constant C in V = C q q (...)
+  /// (C q_a) q_b by PairSpecies code, C the Coulomb constant: the
+  /// per-pair product of the Coulomb energy V = C q_a q_b (...).
+  double qq[4] = {0.0, 0.0, 0.0, 0.0};
 };
 
-/// One block of nonbonded pairs in SoA form.  `count` is the number of
-/// real pairs (1..kForceBlockPairs); the index arrays must remain valid
-/// (padded) up to the next kForceLaneGroup multiple of count.
-struct ForcePairBlockIn {
-  const double* x = nullptr;  ///< site x coordinates
-  const double* y = nullptr;
-  const double* z = nullptr;
-  const double* q = nullptr;    ///< site charges
-  const double* oxy = nullptr;  ///< 1.0 for oxygen sites, 0.0 otherwise
-  const std::int32_t* i = nullptr;  ///< pair first-site indices
-  const std::int32_t* j = nullptr;  ///< pair second-site indices
-  std::int64_t count = 0;
+/// Running nonbonded sums of a force evaluation; the kernel adds each
+/// pair's terms in stream order (Coulomb, then LJ, per pair).
+struct ForceSums {
+  double coulomb = 0.0;       ///< shifted Coulomb energy
+  double lennardJones = 0.0;  ///< shifted LJ energy
+  double virial = 0.0;        ///< sum of r_ij . F_ij
 };
 
-/// Per-pair kernel outputs; every array must have room for `count` rounded
-/// up to kForceLaneGroup.  Forces are returned as scales: the force on
-/// site i from one term is (dx, dy, dz) * S (and -that on j), which the
-/// caller applies scalar so accumulation order stays the caller's choice.
-/// The displacement and the three flags are set for every pair; a term's
-/// energy and scale are defined only where its flag is set (the scalar,
-/// SSE4 and AVX2 kernels write 0.0 elsewhere, and never compute them).
-struct ForcePairBlockOut {
-  double* dx = nullptr;  ///< minimum-image displacement r_i - r_j
-  double* dy = nullptr;
-  double* dz = nullptr;
-  double* coulombE = nullptr;  ///< shifted Coulomb pair energy
-  double* coulombS = nullptr;  ///< Coulomb force scale
-  double* ljE = nullptr;       ///< shifted LJ pair energy
-  double* ljS = nullptr;       ///< LJ force scale
-  std::uint8_t* withinCutoff = nullptr;   ///< r^2 < rc^2
-  std::uint8_t* coulombActive = nullptr;  ///< within cutoff and qq != 0
-  std::uint8_t* ljActive = nullptr;       ///< within cutoff and both oxygen
-};
-
-/// Site pairs for the squared-distance kernel, in the SoA form of
-/// ForcePairBlockIn.  Any `count` >= 0; the index arrays must stay valid
-/// (padded) up to the next kForceLaneGroup multiple of count, and so must
-/// the output array's room.
+/// Input of the squared-distance kernel: the cubic box, a position
+/// snapshot and the pairs (their species codes are not read).
 struct PairDistanceIn {
   double boxEdge = 0.0;     ///< cubic box edge L
   double invBoxEdge = 0.0;  ///< 1/L
-  const double* x = nullptr;
-  const double* y = nullptr;
-  const double* z = nullptr;
-  const std::int32_t* i = nullptr;
-  const std::int32_t* j = nullptr;
-  std::int64_t count = 0;
+  const SiteRow* xyz0 = nullptr;
+  PairSlice pairs;
 };
 
 }  // namespace sfopt::simd

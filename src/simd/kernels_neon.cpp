@@ -1,6 +1,7 @@
-// NEON kernels (2-lane double, aarch64 baseline — no extra compile flags
-// needed).  Same structure and per-lane-purity contract as the x86 TUs;
-// compiled with -ffp-contract=off for the same reason.
+// NEON Welford kernel (2-lane double, aarch64 baseline — no extra compile
+// flags needed), with the x86 TUs' lane-order contract; compiled with
+// -ffp-contract=off for the same reason.  NEON takes the scalar force and
+// distance kernels.
 
 #if defined(__aarch64__)
 
@@ -10,14 +11,6 @@
 #include "stats/welford.hpp"
 
 namespace sfopt::simd::detail {
-
-namespace {
-
-inline float64x2_t load2(const double* p, std::size_t a, std::size_t b) {
-  return vsetq_lane_f64(p[b], vdupq_n_f64(p[a]), 1);
-}
-
-}  // namespace
 
 void welfordChunkNeon(const double* samples, std::int64_t count, std::int64_t* outN,
                       double* outMean, double* outM2) {
@@ -46,84 +39,6 @@ void welfordChunkNeon(const double* samples, std::int64_t count, std::int64_t* o
   *outN = merged.count();
   *outMean = merged.mean();
   *outM2 = merged.sumSquaredDeviations();
-}
-
-void forcePairBlockNeon(const ForceConstants& c, const ForcePairBlockIn& in,
-                        const ForcePairBlockOut& out) {
-  const float64x2_t edge = vdupq_n_f64(c.boxEdge);
-  const float64x2_t invEdge = vdupq_n_f64(c.invBoxEdge);
-  const float64x2_t rcV = vdupq_n_f64(c.rc);
-  const float64x2_t rc2V = vdupq_n_f64(c.rc2);
-  const float64x2_t invRcV = vdupq_n_f64(c.invRc);
-  const float64x2_t invRc2V = vdupq_n_f64(c.invRc2);
-  const float64x2_t s2V = vdupq_n_f64(c.s2);
-  const float64x2_t eps4V = vdupq_n_f64(c.eps4);
-  const float64x2_t eps24V = vdupq_n_f64(c.eps24);
-  const float64x2_t ljErcV = vdupq_n_f64(c.ljErc);
-  const float64x2_t ljFrcV = vdupq_n_f64(c.ljFrc);
-  const float64x2_t qScaleV = vdupq_n_f64(c.coulombScale);
-  const float64x2_t one = vdupq_n_f64(1.0);
-  const float64x2_t two = vdupq_n_f64(2.0);
-  const float64x2_t half = vdupq_n_f64(0.5);
-  const float64x2_t zero = vdupq_n_f64(0.0);
-
-  for (std::int64_t k = 0; k < in.count; k += 2) {
-    const auto i0 = static_cast<std::size_t>(in.i[k]);
-    const auto i1 = static_cast<std::size_t>(in.i[k + 1]);
-    const auto j0 = static_cast<std::size_t>(in.j[k]);
-    const auto j1 = static_cast<std::size_t>(in.j[k + 1]);
-
-    float64x2_t dx = vsubq_f64(load2(in.x, i0, i1), load2(in.x, j0, j1));
-    float64x2_t dy = vsubq_f64(load2(in.y, i0, i1), load2(in.y, j0, j1));
-    float64x2_t dz = vsubq_f64(load2(in.z, i0, i1), load2(in.z, j0, j1));
-    dx = vsubq_f64(dx, vmulq_f64(edge, vrndnq_f64(vmulq_f64(dx, invEdge))));
-    dy = vsubq_f64(dy, vmulq_f64(edge, vrndnq_f64(vmulq_f64(dy, invEdge))));
-    dz = vsubq_f64(dz, vmulq_f64(edge, vrndnq_f64(vmulq_f64(dz, invEdge))));
-
-    const float64x2_t r2 =
-        vaddq_f64(vaddq_f64(vmulq_f64(dx, dx), vmulq_f64(dy, dy)), vmulq_f64(dz, dz));
-    const float64x2_t r = vsqrtq_f64(r2);
-    const uint64x2_t within = vcltq_f64(r2, rc2V);
-
-    const float64x2_t qq =
-        vmulq_f64(vmulq_f64(qScaleV, load2(in.q, i0, i1)), load2(in.q, j0, j1));
-    const float64x2_t coulombE =
-        vmulq_f64(qq, vaddq_f64(vsubq_f64(vdivq_f64(one, r), invRcV),
-                                vdivq_f64(vsubq_f64(r, rcV), rc2V)));
-    const float64x2_t coulombF = vmulq_f64(qq, vsubq_f64(vdivq_f64(one, r2), invRc2V));
-    const float64x2_t coulombS = vdivq_f64(coulombF, r);
-
-    const float64x2_t inv2 = vdivq_f64(s2V, r2);
-    const float64x2_t inv6 = vmulq_f64(vmulq_f64(inv2, inv2), inv2);
-    const float64x2_t inv12 = vmulq_f64(inv6, inv6);
-    const float64x2_t ljE0 = vmulq_f64(eps4V, vsubq_f64(inv12, inv6));
-    const float64x2_t ljFOverR =
-        vdivq_f64(vmulq_f64(eps24V, vsubq_f64(vmulq_f64(two, inv12), inv6)), r2);
-    const float64x2_t ljE =
-        vaddq_f64(vsubq_f64(ljE0, ljErcV), vmulq_f64(ljFrcV, vsubq_f64(r, rcV)));
-    const float64x2_t ljF = vsubq_f64(vmulq_f64(ljFOverR, r), ljFrcV);
-    const float64x2_t ljS = vdivq_f64(ljF, r);
-
-    const float64x2_t oo = vmulq_f64(load2(in.oxy, i0, i1), load2(in.oxy, j0, j1));
-    const uint64x2_t notZero =
-        veorq_u64(vceqq_f64(qq, zero), vdupq_n_u64(~0ULL));
-    const uint64x2_t coulombOn = vandq_u64(within, notZero);
-    const uint64x2_t ljOn = vandq_u64(within, vcgtq_f64(oo, half));
-
-    vst1q_f64(out.dx + k, dx);
-    vst1q_f64(out.dy + k, dy);
-    vst1q_f64(out.dz + k, dz);
-    vst1q_f64(out.coulombE + k, coulombE);
-    vst1q_f64(out.coulombS + k, coulombS);
-    vst1q_f64(out.ljE + k, ljE);
-    vst1q_f64(out.ljS + k, ljS);
-    out.withinCutoff[k] = vgetq_lane_u64(within, 0) != 0 ? 1 : 0;
-    out.withinCutoff[k + 1] = vgetq_lane_u64(within, 1) != 0 ? 1 : 0;
-    out.coulombActive[k] = vgetq_lane_u64(coulombOn, 0) != 0 ? 1 : 0;
-    out.coulombActive[k + 1] = vgetq_lane_u64(coulombOn, 1) != 0 ? 1 : 0;
-    out.ljActive[k] = vgetq_lane_u64(ljOn, 0) != 0 ? 1 : 0;
-    out.ljActive[k + 1] = vgetq_lane_u64(ljOn, 1) != 0 ? 1 : 0;
-  }
 }
 
 }  // namespace sfopt::simd::detail

@@ -1,7 +1,7 @@
 // Portable reference kernels.  The Welford kernel is the sequential
 // stats::Welford::add stream bit for bit; the force and distance kernels
 // are the exact per-lane math of the vector kernels written in plain C,
-// one pair at a time, the force kernel in the same three passes.
+// one pair at a time, the force kernel in the same passes and drain.
 // Compiled with -ffp-contract=off so no FMA contraction can make this TU
 // disagree with the baseline-ISA code elsewhere in the tree.
 
@@ -41,76 +41,88 @@ inline double roundToNearest(double x) {
   return std::copysign((x + t) - t, x);
 }
 
-/// Minimum-image displacement and its square norm, one pair: the op
-/// sequence of md::PeriodicBox::minimumImage followed by normSquared, with
-/// roundToNearest standing in for its bit-identical std::nearbyint.
+/// Minimum-image displacement of one pair: the op sequence of
+/// md::PeriodicBox::minimumImage, with roundToNearest standing in for its
+/// bit-identical std::nearbyint.
 struct Image {
-  double dx, dy, dz, r2;
+  double dx, dy, dz;
 };
 
-inline Image minimumImage(double edge, double invEdge, const double* x, const double* y,
-                          const double* z, std::size_t i, std::size_t j) {
-  double dx = x[i] - x[j];
-  double dy = y[i] - y[j];
-  double dz = z[i] - z[j];
+inline Image minimumImage(double edge, double invEdge, const SiteRow& a, const SiteRow& b) {
+  double dx = a.x - b.x;
+  double dy = a.y - b.y;
+  double dz = a.z - b.z;
   dx -= edge * roundToNearest(dx * invEdge);
   dy -= edge * roundToNearest(dy * invEdge);
   dz -= edge * roundToNearest(dz * invEdge);
-  return {dx, dy, dz, (dx * dx + dy * dy) + dz * dz};
+  return {dx, dy, dz};
 }
+
+/// normSquared's op sequence.
+inline double normSquared(const Image& d) { return (d.dx * d.dx + d.dy * d.dy) + d.dz * d.dz; }
 
 }  // namespace
 
-void forcePairBlockScalar(const ForceConstants& c, const ForcePairBlockIn& in,
-                          const ForcePairBlockOut& out) {
-  // Local copies: the byte flag stores could alias the structs' fields,
-  // which would make the compiler reload every pointer after each one.
-  const ForcePairBlockIn src = in;
-  const ForcePairBlockOut dst = out;
+// The kernels below copy what they read from the structs into locals: a
+// double or int32 store through an output array could alias a struct's
+// field, which would make the compiler reload every one after each store.
 
-  // Pass 1: displacement, r^2, qq and the flags of every candidate.
-  double r2s[kForceBlockPairs];
-  double qqs[kForceBlockPairs];
-  for (std::int64_t k = 0; k < src.count; ++k) {
-    const auto i = static_cast<std::size_t>(src.i[k]);
-    const auto j = static_cast<std::size_t>(src.j[k]);
-    const Image d = minimumImage(c.boxEdge, c.invBoxEdge, src.x, src.y, src.z, i, j);
-    const double qq = (c.coulombScale * src.q[i]) * src.q[j];
-    const bool within = d.r2 < c.rc2;
-    dst.dx[k] = d.dx;
-    dst.dy[k] = d.dy;
-    dst.dz[k] = d.dz;
-    dst.coulombE[k] = 0.0;
-    dst.coulombS[k] = 0.0;
-    dst.ljE[k] = 0.0;
-    dst.ljS[k] = 0.0;
-    dst.withinCutoff[k] = within;
-    dst.coulombActive[k] = within & (qq != 0.0);
-    dst.ljActive[k] = within & (src.oxy[i] * src.oxy[j] > 0.5);
-    r2s[k] = d.r2;
-    qqs[k] = qq;
+void packPairsScalar(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
+                     PackedPairs& out) {
+  const double edge = c.boxEdge;
+  const double invEdge = c.invBoxEdge;
+  const double rc2 = c.rc2;
+  const double qqOf[4] = {c.qq[0], c.qq[1], c.qq[2], c.qq[3]};
+  const PairSlice p = pairs;
+  const PackedPairs dst = out;
+  std::int64_t hits = 0;
+  std::int64_t coulombs = 0;
+  std::int64_t ljs = 0;
+  for (std::int64_t k = 0; k < p.count; ++k) {
+    const Image d = minimumImage(edge, invEdge, xyz0[p.i[k]], xyz0[p.j[k]]);
+    const double r2 = normSquared(d);
+    const double qq = qqOf[p.species[k]];
+    dst.d[k].x = d.dx;
+    dst.d[k].y = d.dy;
+    dst.d[k].z = d.dz;
+    dst.d[k].pad = 0.0;
+    dst.r2[k] = r2;
+    dst.qq[k] = qq;
+    const auto at = static_cast<std::int32_t>(k);
+    const int within = r2 < rc2;
+    dst.hit[hits] = at;
+    dst.coulomb[coulombs] = at;
+    dst.lj[ljs] = at;
+    hits += within;
+    coulombs += within & (qq != 0.0);
+    ljs += within & (p.species[k] == kPairOO);
   }
+  padPacked(dst.hit, hits);
+  padPacked(dst.coulomb, coulombs);
+  padPacked(dst.lj, ljs);
+  out.hits = hits;
+  out.coulombs = coulombs;
+  out.ljs = ljs;
+}
 
-  // Pass 2: the active positions of each term, in stream order.
-  std::int32_t coulombAt[kForceBlockPairs + kForceLaneGroup];
-  std::int32_t ljAt[kForceBlockPairs + kForceLaneGroup];
-  const std::int64_t coulombCount = compactPositions(dst.coulombActive, src.count, coulombAt);
-  const std::int64_t ljCount = compactPositions(dst.ljActive, src.count, ljAt);
-
-  // Pass 3: Coulomb, force-shifted: V = C q q (1/r - 1/rc + (r - rc)/rc^2).
-  for (std::int64_t m = 0; m < coulombCount; ++m) {
-    const auto k = static_cast<std::size_t>(coulombAt[m]);
-    const double r2 = r2s[k];
+void pairTermsScalar(const ForceConstants& constants, const PackedPairs& packed,
+                     const PairTerms& out) {
+  const ForceConstants c = constants;
+  const PackedPairs src = packed;
+  const PairTerms dst = out;
+  // Coulomb, force-shifted: V = qq (1/r - 1/rc + (r - rc)/rc^2).
+  for (std::int64_t m = 0; m < src.coulombs; ++m) {
+    const std::int32_t k = src.coulomb[m];
+    const double r2 = src.r2[k];
     const double r = std::sqrt(r2);
-    const double qq = qqs[k];
+    const double qq = src.qq[k];
     const double coulombF = qq * (1.0 / r2 - c.invRc2);
-    dst.coulombE[k] = qq * ((1.0 / r - c.invRc) + (r - c.rc) / c.rc2);
-    dst.coulombS[k] = coulombF / r;
+    dst.coulombE[m] = qq * ((1.0 / r - c.invRc) + (r - c.rc) / c.rc2);
+    dst.coulombS[m] = coulombF / r;
   }
   // Lennard-Jones (O-O only), force-shifted.
-  for (std::int64_t m = 0; m < ljCount; ++m) {
-    const auto k = static_cast<std::size_t>(ljAt[m]);
-    const double r2 = r2s[k];
+  for (std::int64_t m = 0; m < src.ljs; ++m) {
+    const double r2 = src.r2[src.lj[m]];
     const double r = std::sqrt(r2);
     const double inv2 = c.s2 / r2;
     const double inv6 = (inv2 * inv2) * inv2;
@@ -118,16 +130,21 @@ void forcePairBlockScalar(const ForceConstants& c, const ForcePairBlockIn& in,
     const double ljE0 = c.eps4 * (inv12 - inv6);
     const double ljFOverR = c.eps24 * (2.0 * inv12 - inv6) / r2;
     const double ljF = ljFOverR * r - c.ljFrc;
-    dst.ljE[k] = (ljE0 - c.ljErc) + c.ljFrc * (r - c.rc);
-    dst.ljS[k] = ljF / r;
+    dst.ljE[m] = (ljE0 - c.ljErc) + c.ljFrc * (r - c.rc);
+    dst.ljS[m] = ljF / r;
   }
 }
 
+void forcePairsScalar(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
+                      SiteRow* force0, ForceSums& sums) {
+  forcePairsInBlocks<packPairsScalar, pairTermsScalar>(c, pairs, xyz0, force0, sums);
+}
+
 void pairDistancesScalar(const PairDistanceIn& in, double* r2) {
-  for (std::int64_t k = 0; k < in.count; ++k) {
-    r2[k] = minimumImage(in.boxEdge, in.invBoxEdge, in.x, in.y, in.z,
-                         static_cast<std::size_t>(in.i[k]), static_cast<std::size_t>(in.j[k]))
-                .r2;
+  const PairDistanceIn src = in;
+  for (std::int64_t k = 0; k < src.pairs.count; ++k) {
+    r2[k] = normSquared(minimumImage(src.boxEdge, src.invBoxEdge, src.xyz0[src.pairs.i[k]],
+                                     src.xyz0[src.pairs.j[k]]));
   }
 }
 

@@ -18,7 +18,7 @@ namespace {
 using namespace sfopt::md;
 
 // 216 waters: box ~18.6 A, so the 5 A list radius (cutoff 4 + skin 1)
-// admits 3 cells per dimension and the cell-list path is active.
+// admits 3 cells per dimension, enough for the cell list to be sound.
 WaterSystem cellSystem(std::uint64_t seed = 3) {
   return buildWaterLattice(216, 0.997, 298.0, tip4pPublished(), 4.0, seed);
 }
@@ -105,11 +105,16 @@ TEST(CellList, NeighborListPairsIdenticalUnderBothStrategies) {
     EXPECT_FALSE(viaBrute.lastRebuildUsedCells());
     // Same pairs in the same (lexicographic) order: the force loop is
     // bitwise independent of the build strategy.
-    ASSERT_EQ(viaCells.pairs(), viaBrute.pairs()) << "seed " << seed;
+    ASSERT_EQ(viaCells.table(), viaBrute.table()) << "seed " << seed;
   }
 }
 
-TEST(CellList, AutoStrategyFallsBackBelowThreeCellsPerDimension) {
+// 343 waters: box ~21.8 A, 4 cells per dimension at the 5 A list radius.
+WaterSystem fourCellSystem(std::uint64_t seed = 5) {
+  return buildWaterLattice(343, 0.997, 298.0, tip4pPublished(), 4.0, seed);
+}
+
+TEST(CellList, AutoStrategyFallsBackBelowFourCellsPerDimension) {
   // 64 molecules: 2 cells/dim at the 5 A radius -> brute-force fallback.
   auto small = buildWaterLattice(64, 0.997, 298.0, tip4pPublished(), 4.0, 5);
   NeighborList list(4.0, 1.0);
@@ -117,12 +122,21 @@ TEST(CellList, AutoStrategyFallsBackBelowThreeCellsPerDimension) {
   EXPECT_FALSE(list.lastRebuildUsedCells());
   EXPECT_EQ(list.cellsPerDim(), 0);
 
-  // 216 molecules: 3 cells/dim -> the cell path engages automatically.
-  auto big = cellSystem();
+  // 216 molecules: 3 cells/dim, where the half stencil reaches every cell
+  // and the brute scan is faster -> still the brute scan.
+  auto threeCells = cellSystem();
+  ASSERT_EQ(CellList::cellsPerDimension(threeCells.box(), 5.0), 3);
+  NeighborList threeList(4.0, 1.0);
+  threeList.rebuild(threeCells);
+  EXPECT_FALSE(threeList.lastRebuildUsedCells());
+  EXPECT_EQ(threeList.cellsPerDim(), 0);
+
+  // 343 molecules: 4 cells/dim -> the cell path engages automatically.
+  auto big = fourCellSystem();
   NeighborList bigList(4.0, 1.0);
   bigList.rebuild(big);
   EXPECT_TRUE(bigList.lastRebuildUsedCells());
-  EXPECT_EQ(bigList.cellsPerDim(), 3);
+  EXPECT_EQ(bigList.cellsPerDim(), 4);
   EXPECT_GT(bigList.averageCellOccupancy(), 0.0);
   EXPECT_GE(bigList.maxCellOccupancy(), 1);
 }
@@ -147,7 +161,7 @@ TEST(CellList, SerialCellListAndParallelForcesAgree) {
 }
 
 TEST(CellList, PerfCountersReportTheForcePath) {
-  auto sys = cellSystem(41);
+  auto sys = fourCellSystem(41);
   VelocityVerlet vv(sys, {.dtPs = 0.0002, .useNeighborList = true, .neighborSkin = 1.0});
   (void)vv.run(40);
   const MdPerfCounters perf = vv.perfCounters();
@@ -157,7 +171,7 @@ TEST(CellList, PerfCountersReportTheForcePath) {
   EXPECT_GE(perf.neighborRebuilds, 1);
   EXPECT_GT(perf.forceSeconds, 0.0);
   EXPECT_TRUE(perf.cellListUsed);
-  EXPECT_EQ(perf.cellsPerDim, 3);
+  EXPECT_EQ(perf.cellsPerDim, 4);
   EXPECT_GT(perf.maxDriftSeen, 0.0);
 }
 

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "md/forces.hpp"
 #include "md/integrator.hpp"
+#include "md/intermolecular_pairs.hpp"
 #include "md/system.hpp"
+#include "simd/force_kernel.hpp"
 
 namespace {
 
@@ -50,13 +54,15 @@ TEST(NeighborList, ContainsAllCutoffPairs) {
     }
   }
   std::size_t listedInCutoff = 0;
-  for (const auto& [i, j] : list.pairs()) {
-    const Vec3 d = sys.box().minimumImage(sys.positions[static_cast<std::size_t>(i)],
-                                          sys.positions[static_cast<std::size_t>(j)]);
+  const PairTable& table = list.table();
+  for (std::size_t k = 0; k < table.size(); ++k) {
+    const Vec3 d =
+        sys.box().minimumImage(sys.positions[static_cast<std::size_t>(table.first()[k])],
+                               sys.positions[static_cast<std::size_t>(table.second()[k])]);
     if (normSquared(d) < rc2) ++listedInCutoff;
   }
   EXPECT_EQ(listedInCutoff, inCutoff);
-  EXPECT_GE(list.pairs().size(), inCutoff);  // plus the skin shell
+  EXPECT_GE(table.size(), inCutoff);  // plus the skin shell
 }
 
 TEST(NeighborList, SmallDriftNeedsNoRebuild) {
@@ -115,6 +121,39 @@ TEST(NeighborList, NveEnergyConservedWithList) {
   }
   const double scale = std::abs(e0) + sys.kineticEnergy();
   EXPECT_LT(maxDev, 0.01 * scale);
+}
+
+TEST(PairTable, AllPairsTableHoldsEveryIntermolecularPairWithItsSpecies) {
+  auto sys = buildWaterLattice(16, 0.997, 298.0, tip4pPublished(), 3.0, 7);
+  IntermolecularPairs all;
+  const PairTable& table = all.table(sys);
+  const std::span<const double> d2 = all.distancesSquared(sys);
+  ASSERT_EQ(d2.size(), table.size());
+  std::size_t k = 0;
+  for (int i = 0; i < sys.sites(); ++i) {
+    for (int j = i + 1; j < sys.sites(); ++j) {
+      if (sys.moleculeOf(i) == sys.moleculeOf(j)) continue;
+      ASSERT_LT(k, table.size());
+      EXPECT_EQ(table.first()[k], i);
+      EXPECT_EQ(table.second()[k], j);
+      const bool iH = sys.speciesOf(i) == Species::Hydrogen;
+      const bool jH = sys.speciesOf(j) == Species::Hydrogen;
+      EXPECT_EQ(table.species()[k], (iH ? 2 : 0) + (jH ? 1 : 0)) << i << " " << j;
+      const double want = normSquared(
+          sys.box().minimumImage(sys.positions[static_cast<std::size_t>(i)],
+                                 sys.positions[static_cast<std::size_t>(j)]));
+      EXPECT_EQ(std::memcmp(&d2[k], &want, sizeof want), 0) << i << " " << j;
+      ++k;
+    }
+  }
+  EXPECT_EQ(table.size(), k);
+  // The kernels read whole lane groups: the padding repeats the last pair.
+  for (std::size_t p = k; p % static_cast<std::size_t>(sfopt::simd::kForceLaneGroup) != 0;
+       ++p) {
+    EXPECT_EQ(table.first()[p], table.first()[k - 1]);
+    EXPECT_EQ(table.second()[p], table.second()[k - 1]);
+    EXPECT_EQ(table.species()[p], table.species()[k - 1]);
+  }
 }
 
 }  // namespace
