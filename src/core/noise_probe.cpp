@@ -14,10 +14,7 @@ NoiseProbe probeNoise(const noise::StochasticObjective& objective, const Point& 
   if (x.size() != objective.dimension()) {
     throw std::invalid_argument("probeNoise: dimension mismatch");
   }
-  stats::Welford w;
-  sampleChunks(objective, x, probeStream, 0, samples, [&w](std::span<const double> chunk) {
-    for (const double y : chunk) w.add(y);
-  });
+  const stats::Welford w = foldEvalChunks(sampleChunks(objective, {x, probeStream, 0, samples}));
   const double dt = objective.sampleDuration();
   NoiseProbe probe;
   probe.meanEstimate = w.mean();

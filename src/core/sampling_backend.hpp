@@ -1,13 +1,10 @@
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "noise/stochastic_objective.hpp"
-#include "simd/dispatch.hpp"
 #include "stats/welford.hpp"
 
 namespace sfopt::core {
@@ -23,20 +20,16 @@ namespace sfopt::core {
 /// across workers, how many clients each worker ran, and in which order
 /// shards completed.
 ///
-/// Canonical-moment contract.  One producer and two reductions, and only
-/// these, define a batch's moments; every producer and consumer must go
-/// through them so alternative accumulation modes (SIMD lanes today, bf16
-/// or pairwise trees tomorrow) cannot silently diverge from each other:
+/// Canonical-moment contract.  Two steps, and only these, define a
+/// batch's moments, on every path (inline, in-process workers, TCP
+/// workers, the daemon's fleet) and under every SIMD ISA:
 ///
-///  0. Chunk samples: sampleChunks() fills each chunk through
+///  1. Chunk moments: sampleChunks() draws each chunk through
 ///     StochasticObjective::sampleRun, whose out[i] is bit for bit
-///     sample(x, {vertexId, first + i}) — so a chunk's samples are a pure
-///     function of (objective, x, vertexId, index range).
-///  1. Chunk interior: accumulateEvalChunk() turns the chunk's sample
-///     stream into moments.  It dispatches on the active SIMD ISA; the
-///     scalar ISA is the sequential Welford::add stream bit for bit, and
-///     each vector ISA pins a canonical lane order, so a chunk's moments
-///     are a pure function of (samples, active ISA).
+///     sample(x, {vertexId, first + i}), and reduces it with
+///     simd::welfordChunk, the one 4-lane reducer every ISA runs.  A
+///     chunk's moments are therefore a pure function of (objective, x,
+///     vertexId, index range).  Nothing else turns samples into moments.
 ///  2. Batch fold: foldEvalChunks() merges a batch's chunk moments
 ///     left-to-right in chunk-index order.
 inline constexpr std::int64_t kEvalChunkSamples = 64;
@@ -44,29 +37,6 @@ inline constexpr std::int64_t kEvalChunkSamples = 64;
 /// Number of chunks a batch of `count` samples decomposes into.
 [[nodiscard]] constexpr std::int64_t evalChunkCount(std::int64_t count) noexcept {
   return (count + kEvalChunkSamples - 1) / kEvalChunkSamples;
-}
-
-/// Draw `count` samples of `objective` at x on noise stream `stream`,
-/// starting at sample index `first`, one canonical chunk at a time
-/// (contract step 0): `sink` receives each chunk's samples — 64, the last
-/// possibly fewer — in index order.  THE sampling loop everybody must use.
-template <class Sink>
-void sampleChunks(const noise::StochasticObjective& objective, std::span<const double> x,
-                  std::uint64_t stream, std::uint64_t first, std::int64_t count, Sink&& sink) {
-  std::array<double, kEvalChunkSamples> buffer;
-  for (std::int64_t done = 0; done < count; done += kEvalChunkSamples) {
-    const std::span<double> chunk(
-        buffer.data(), static_cast<std::size_t>(std::min(count - done, kEvalChunkSamples)));
-    objective.sampleRun(x, stream, first + static_cast<std::uint64_t>(done), chunk);
-    sink(std::span<const double>(chunk));
-  }
-}
-
-/// Accumulate the sample stream of ONE canonical chunk into Welford
-/// moments (contract step 1).  THE chunk-interior accumulator everybody
-/// must use; see the canonical-moment contract above.
-[[nodiscard]] inline stats::Welford accumulateEvalChunk(std::span<const double> samples) {
-  return simd::welfordChunk(samples);
 }
 
 /// Fold a batch's chunk moments in canonical (index) order (contract
@@ -86,12 +56,13 @@ void sampleChunks(const noise::StochasticObjective& objective, std::span<const d
 /// any order.
 ///
 /// SamplingContext drives a backend through an EvalScheduler; with no
-/// backend it computes samples inline on the calling thread.  The
-/// master-worker runtime (src/mw) ships each batch to a worker process,
-/// and the multi-tenant service (src/service) routes it through the
-/// daemon's shared fleet.  Because every sample is keyed by (vertexId,
-/// sampleIndex) through the counter-based RNG, the merged estimate is
-/// bitwise identical no matter which backend computed it or in which
+/// backend it computes the same chunks inline on the calling thread and
+/// folds them the same way.  The master-worker runtime (src/mw) ships each
+/// batch to a worker process, and the multi-tenant service (src/service)
+/// routes it through the daemon's shared fleet.  Because every sample is
+/// keyed by (vertexId, sampleIndex) through the counter-based RNG and every
+/// batch's moments follow the contract above, the merged estimate is
+/// bitwise identical whichever path and ISA computed it, in whatever
 /// order — the property the integration tests pin down.
 class SamplingBackend {
  public:
@@ -123,5 +94,13 @@ class SamplingBackend {
   /// for the MW backend).  Used to size shards; always >= 1.
   [[nodiscard]] virtual int parallelism() const = 0;
 };
+
+/// The canonical chunk moments of `request` (contract step 1): one
+/// Welford per 64 samples from request.startIndex, the last possibly
+/// fewer, in index order.  THE sampling loop everybody must use: workers
+/// return these chunks, and inline sampling folds them as the master
+/// folds a worker's.
+[[nodiscard]] std::vector<stats::Welford> sampleChunks(
+    const noise::StochasticObjective& objective, const SamplingBackend::BatchRequest& request);
 
 }  // namespace sfopt::core

@@ -8,19 +8,6 @@
 
 namespace sfopt::core {
 
-namespace {
-
-/// Draw `take` more samples at v inline and absorb them in index order:
-/// the vertex sees the sequential Welford::add stream.
-void sampleInline(const noise::StochasticObjective& objective, Vertex& v, std::int64_t take) {
-  sampleChunks(objective, v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()), take,
-               [&v](std::span<const double> chunk) {
-                 for (const double y : chunk) v.absorb(y);
-               });
-}
-
-}  // namespace
-
 SamplingContext::SamplingContext(const noise::StochasticObjective& objective, Options options)
     : objective_(objective), options_(options), nextVertexId_(options.firstVertexId) {
   if (options_.maxSamplesPerVertex < 1) {
@@ -56,13 +43,9 @@ std::int64_t SamplingContext::refine(Vertex& v, std::int64_t extra) {
   const std::int64_t room = options_.maxSamplesPerVertex - v.sampleCount();
   const std::int64_t take = std::min(extra, std::max<std::int64_t>(room, 0));
   if (take == 0) return 0;
-  if (scheduler_ != nullptr) {
-    const SamplingBackend::BatchRequest req{v.point(), v.id(),
-                                            static_cast<std::uint64_t>(v.sampleCount()), take};
-    v.absorb(scheduler_->evaluate({&req, 1}).front());
-  } else {
-    sampleInline(objective_, v, take);
-  }
+  const SamplingBackend::BatchRequest req{v.point(), v.id(),
+                                          static_cast<std::uint64_t>(v.sampleCount()), take};
+  v.absorb(evaluate({&req, 1}, {}).front());
   totalSamples_ += take;
   return take;
 }
@@ -99,7 +82,7 @@ void SamplingContext::coSample(std::span<const RefineRequest> requests) {
 std::vector<SamplingBackend::BatchRequest> SamplingContext::predictHints(
     std::span<const CoalescedRequest> coal, std::span<const RefineRequest> nextRoundHint) const {
   std::vector<SamplingBackend::BatchRequest> hintBatch;
-  if (!options_.speculate || nextRoundHint.empty()) return hintBatch;
+  if (scheduler_ == nullptr || !options_.speculate || nextRoundHint.empty()) return hintBatch;
   // Predict each hinted vertex's future start index: its current count
   // plus whatever this round is about to take at it.
   std::unordered_map<const Vertex*, std::int64_t> currentTake;
@@ -130,30 +113,37 @@ std::vector<SamplingBackend::BatchRequest> SamplingContext::predictHints(
 void SamplingContext::coSample(std::span<const RefineRequest> requests,
                                std::span<const RefineRequest> nextRoundHint) {
   const std::vector<CoalescedRequest> coal = coalesce(requests);
-  if (scheduler_ != nullptr) {
-    // Dispatch the whole batch so the backend can run it concurrently
-    // (this models the d+3 workers sampling their vertices at once).
-    // Capped vertices (take == 0) never leave the master: the scheduler
-    // answers a zero-count batch with an empty accumulator.
-    std::vector<SamplingBackend::BatchRequest> batch;
-    batch.reserve(coal.size());
-    for (const CoalescedRequest& c : coal) {
-      const Vertex& v = *c.vertex;
-      batch.push_back(
-          {v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()), c.take});
-    }
-    const std::vector<stats::Welford> results =
-        scheduler_->evaluate(batch, predictHints(coal, nextRoundHint));
-    for (std::size_t i = 0; i < coal.size(); ++i) coal[i].vertex->absorb(results[i]);
-  } else {
-    for (const CoalescedRequest& c : coal) sampleInline(objective_, *c.vertex, c.take);
+  // One batch for the whole round, so a backend can run it concurrently
+  // (this models the d+3 workers sampling their vertices at once).
+  // Capped vertices (take == 0) never leave the master: a zero-count
+  // batch folds to an empty accumulator.
+  std::vector<SamplingBackend::BatchRequest> batch;
+  batch.reserve(coal.size());
+  for (const CoalescedRequest& c : coal) {
+    const Vertex& v = *c.vertex;
+    batch.push_back({v.point(), v.id(), static_cast<std::uint64_t>(v.sampleCount()), c.take});
   }
+  const std::vector<stats::Welford> results =
+      evaluate(batch, predictHints(coal, nextRoundHint));
+  for (std::size_t i = 0; i < coal.size(); ++i) coal[i].vertex->absorb(results[i]);
   std::int64_t maxTaken = 0;
   for (const CoalescedRequest& c : coal) {
     totalSamples_ += c.take;
     maxTaken = std::max(maxTaken, c.take);
   }
   chargeTime(maxTaken);
+}
+
+std::vector<stats::Welford> SamplingContext::evaluate(
+    std::span<const SamplingBackend::BatchRequest> batch,
+    std::span<const SamplingBackend::BatchRequest> hints) {
+  if (scheduler_ != nullptr) return scheduler_->evaluate(batch, hints);
+  std::vector<stats::Welford> results;
+  results.reserve(batch.size());
+  for (const SamplingBackend::BatchRequest& request : batch) {
+    results.push_back(foldEvalChunks(sampleChunks(objective_, request)));
+  }
+  return results;
 }
 
 void SamplingContext::coSample(std::initializer_list<RefineRequest> requests) {

@@ -22,8 +22,10 @@ class EvalScheduler;
 
 /// Mediates all sampling of a StochasticObjective on behalf of an
 /// optimization algorithm, and owns the accounting the paper's experiments
-/// report on.  Samples are computed inline (the reference path) or, given
-/// a backend, through an EvalScheduler over it:
+/// report on.  Samples are computed inline or, given a backend, through an
+/// EvalScheduler over it.  Either way a refinement is one batch whose
+/// canonical chunk moments are folded in index order (sampling_backend.hpp),
+/// so both give the same bits.  The accounting:
 ///
 ///  * the virtual wall clock, advanced under the paper's concurrency model
 ///    (the d+3 workers sample their vertices simultaneously, so a batch of
@@ -146,9 +148,16 @@ class SamplingContext {
 
   /// The scheduler's prefetch batch for `nextRoundHint`: each hinted
   /// vertex's refinement, starting where this round's `coal` leaves it.
-  /// Empty unless speculating.
+  /// Empty unless a backend is speculating.
   [[nodiscard]] std::vector<SamplingBackend::BatchRequest> predictHints(
       std::span<const CoalescedRequest> coal, std::span<const RefineRequest> nextRoundHint) const;
+
+  /// One folded accumulator per batch request, in order: the scheduler's
+  /// over the backend (which may prefetch `hints`), or the same chunk
+  /// moments computed on this thread and folded as the scheduler folds.
+  [[nodiscard]] std::vector<stats::Welford> evaluate(
+      std::span<const SamplingBackend::BatchRequest> batch,
+      std::span<const SamplingBackend::BatchRequest> hints);
 
   const noise::StochasticObjective& objective_;
   Options options_;

@@ -61,11 +61,9 @@ class Vertex {
   /// Raw accumulator access (merging partial sums computed by workers).
   [[nodiscard]] const stats::Welford& accumulator() const noexcept { return acc_; }
 
-  /// Fold one observation into the estimate.  Called by SamplingContext.
-  void absorb(double observation) noexcept { acc_.add(observation); }
-
-  /// Fold a batch of observations accumulated elsewhere (worker-side
-  /// partial Welford state) into the estimate.
+  /// Fold a batch of observations accumulated elsewhere into the
+  /// estimate.  A vertex takes no single samples: SamplingContext hands it
+  /// each refinement's folded chunk moments.
   void absorb(const stats::Welford& partial) noexcept { acc_.merge(partial); }
 
  private:

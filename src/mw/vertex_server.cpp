@@ -49,10 +49,9 @@ std::vector<stats::Welford> VertexServer::runBatchChunks(
   // Client 0's range runs here; the helpers' ranges follow it in the
   // batch's chunk order.
   std::vector<stats::Welford> chunks;
-  chunks.reserve(static_cast<std::size_t>(core::evalChunkCount(request.count)));
   std::exception_ptr error;
   try {
-    sampleShare(request, 0, chunks);
+    chunks = sampleShare(request, 0);
   } catch (...) {
     error = std::current_exception();
   }
@@ -69,8 +68,8 @@ std::vector<stats::Welford> VertexServer::runBatchChunks(
   return chunks;
 }
 
-void VertexServer::sampleShare(const core::SamplingBackend::BatchRequest& request,
-                               std::size_t client, std::vector<stats::Welford>& chunks) {
+std::vector<stats::Welford> VertexServer::sampleShare(
+    const core::SamplingBackend::BatchRequest& request, std::size_t client) {
   // Whole chunks are handed out contiguously; the first (chunks % Ns)
   // clients take one extra.  Only the batch's final chunk can be partial,
   // and it always lands at the end of the last loaded client.
@@ -85,15 +84,13 @@ void VertexServer::sampleShare(const core::SamplingBackend::BatchRequest& reques
       std::max<std::int64_t>(0, std::min(myChunks * core::kEvalChunkSamples,
                                          request.count - offset));
   // The "simulation".  The range starts on the batch's chunk grid, so its
-  // chunks are the batch's canonical chunks; their moments (SIMD-
-  // dispatched) depend only on the chunk's sample stream, never on which
-  // client or worker computed it.
-  core::sampleChunks(objective_, request.x, request.vertexId,
-                     request.startIndex + static_cast<std::uint64_t>(offset), count,
-                     [&chunks](std::span<const double> chunk) {
-                       chunks.push_back(core::accumulateEvalChunk(chunk));
-                     });
+  // chunks are the batch's canonical chunks; their moments depend only on
+  // the chunk's sample stream, never on which client or worker computed it.
+  std::vector<stats::Welford> chunks = core::sampleChunks(
+      objective_, {request.x, request.vertexId,
+                   request.startIndex + static_cast<std::uint64_t>(offset), count});
   clientSamples_[client] += count;
+  return chunks;
 }
 
 void VertexServer::helperLoop(std::size_t client) {
@@ -110,7 +107,7 @@ void VertexServer::helperLoop(std::size_t client) {
     std::vector<stats::Welford> chunks;
     std::exception_ptr error;
     try {
-      sampleShare(*request, client, chunks);
+      chunks = sampleShare(*request, client);
     } catch (...) {
       error = std::current_exception();
     }

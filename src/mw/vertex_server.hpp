@@ -46,7 +46,7 @@ class VertexServer {
   /// Run one sampling batch and return its canonical per-chunk moments
   /// (see core::kEvalChunkSamples): whole chunks are handed out
   /// contiguously across the Ns clients, so chunk j is always the same
-  /// 64-sample add-stream no matter how many clients computed the batch —
+  /// 64-sample reduction no matter how many clients computed the batch —
   /// the master's canonical chunk fold is then bitwise independent of
   /// every deployment knob.  Blocking; safe to call repeatedly.
   ///
@@ -64,10 +64,10 @@ class VertexServer {
   [[nodiscard]] std::vector<std::int64_t> clientSampleCounts() const { return clientSamples_; }
 
  private:
-  /// Sample client `client`'s range of `request` and append its chunk
-  /// moments to `chunks`.
-  void sampleShare(const core::SamplingBackend::BatchRequest& request, std::size_t client,
-                   std::vector<stats::Welford>& chunks);
+  /// Sample client `client`'s range of `request`; returns its chunk
+  /// moments in index order.
+  [[nodiscard]] std::vector<stats::Welford> sampleShare(
+      const core::SamplingBackend::BatchRequest& request, std::size_t client);
 
   void helperLoop(std::size_t client);
 

@@ -20,18 +20,12 @@ KernelTable kernelsFor(Isa isa) noexcept {
   switch (isa) {
 #if defined(__x86_64__) || defined(__i386__)
     case Isa::Sse4:
-      return {welfordChunkSse4, forcePairsSse4, packPairsSse4, pairTermsSse4, pairDistancesSse4};
+      return {forcePairsSse4, packPairsSse4, pairTermsSse4, pairDistancesSse4};
     case Isa::Avx2:
-      return {welfordChunkAvx2, forcePairsAvx2, packPairsAvx2, pairTermsAvx2, pairDistancesAvx2};
-#endif
-#if defined(__aarch64__)
-    case Isa::Neon:
-      return {welfordChunkNeon, forcePairsScalar, packPairsScalar, pairTermsScalar,
-              pairDistancesScalar};
+      return {forcePairsAvx2, packPairsAvx2, pairTermsAvx2, pairDistancesAvx2};
 #endif
     default:
-      return {welfordChunkScalar, forcePairsScalar, packPairsScalar, pairTermsScalar,
-              pairDistancesScalar};
+      return {forcePairsScalar, packPairsScalar, pairTermsScalar, pairDistancesScalar};
   }
 }
 
@@ -39,12 +33,7 @@ KernelTable kernelsFor(Isa isa) noexcept {
 
 stats::Welford welfordChunk(std::span<const double> samples) {
   g_welfordChunks.fetch_add(1, std::memory_order_relaxed);
-  std::int64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  detail::kernelsFor(activeIsa()).welford(samples.data(), static_cast<std::int64_t>(samples.size()), &n,
-                                &mean, &m2);
-  return stats::Welford::fromMoments(n, mean, m2);
+  return detail::welfordChunkLanes(samples.data(), static_cast<std::int64_t>(samples.size()));
 }
 
 void forcePairs(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,

@@ -13,11 +13,9 @@ class Telemetry;
 
 namespace sfopt::simd {
 
-/// Accumulate one sample chunk with the active ISA's Welford kernel.
-/// Under Isa::Scalar this is the sequential Welford::add stream bit for
-/// bit; each vector ISA pins its own canonical lane order (see
-/// kernels.hpp), so chunk moments are bitwise reproducible within an ISA
-/// no matter which thread or worker computed the chunk.
+/// Reduce one sample chunk to its Welford moments.  One portable 4-lane
+/// reducer serves every ISA (see kernels.hpp), so a chunk's moments are
+/// the same bits under every ISA, on every thread and every worker.
 [[nodiscard]] stats::Welford welfordChunk(std::span<const double> samples);
 
 /// One nonbonded evaluation over a pair slice with the active ISA's
@@ -36,7 +34,7 @@ void pairDistancesSquared(const PairDistanceIn& in, double* r2);
 
 /// Process-wide dispatch totals (relaxed counters; for telemetry/tests).
 struct DispatchCounts {
-  std::int64_t welfordChunks = 0;  ///< welfordChunk calls
+  std::int64_t welfordChunks = 0;  ///< welfordChunk calls: one per chunk reduction
   std::int64_t forceBlocks = 0;    ///< forcePairs calls: one per nonbonded evaluation
 };
 [[nodiscard]] DispatchCounts dispatchCounts() noexcept;

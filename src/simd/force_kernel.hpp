@@ -7,8 +7,8 @@
 // built; the kernels read slices of it by pointer, positions as 32-byte
 // SiteRow snapshots, and the per-evaluation ForceConstants.
 // md::computeForces makes one simd::forcePairs call per evaluation, which
-// is what the simd.dispatch.force_blocks gauge counts.  NEON runs the
-// scalar force and distance kernels.
+// is what the simd.dispatch.force_blocks gauge counts.  Hosts other than
+// x86 run the scalar force and distance kernels.
 
 namespace sfopt::simd {
 

@@ -43,8 +43,6 @@ const char* isaName(Isa isa) noexcept {
       return "sse4";
     case Isa::Avx2:
       return "avx2";
-    case Isa::Neon:
-      return "neon";
   }
   return "unknown";
 }
@@ -56,8 +54,6 @@ bool parseIsaName(std::string_view name, Isa& out) noexcept {
     out = Isa::Sse4;
   } else if (name == "avx2") {
     out = Isa::Avx2;
-  } else if (name == "neon") {
-    out = Isa::Neon;
   } else {
     return false;
   }
@@ -73,18 +69,9 @@ bool isaSupported(Isa isa) noexcept {
       return __builtin_cpu_supports("sse4.1") != 0;
     case Isa::Avx2:
       return __builtin_cpu_supports("avx2") != 0;
-    case Isa::Neon:
-      return false;
-#elif defined(__aarch64__)
-    case Isa::Sse4:
-    case Isa::Avx2:
-      return false;
-    case Isa::Neon:
-      return true;
 #else
     case Isa::Sse4:
     case Isa::Avx2:
-    case Isa::Neon:
       return false;
 #endif
   }
@@ -94,13 +81,12 @@ bool isaSupported(Isa isa) noexcept {
 Isa detectBestIsa() noexcept {
   if (isaSupported(Isa::Avx2)) return Isa::Avx2;
   if (isaSupported(Isa::Sse4)) return Isa::Sse4;
-  if (isaSupported(Isa::Neon)) return Isa::Neon;
   return Isa::Scalar;
 }
 
 std::vector<Isa> supportedIsas() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Neon, Isa::Avx2}) {
+  for (Isa isa : {Isa::Scalar, Isa::Sse4, Isa::Avx2}) {
     if (isaSupported(isa)) out.push_back(isa);
   }
   return out;

@@ -6,24 +6,23 @@
 
 namespace sfopt::simd {
 
-/// Instruction-set levels the kernel library is built for.  The numeric
-/// order is the preference order on x86 (wider is better); Neon is the
-/// aarch64 level and never coexists with the x86 ones.
+/// Instruction-set levels the force and distance kernels are built for.
+/// The numeric order is the preference order (wider is better).  Hosts
+/// other than x86 run the portable scalar kernels.
 enum class Isa : int {
-  Scalar = 0,  ///< portable reference path; bit-identical to the legacy loops
+  Scalar = 0,  ///< portable kernels, the op sequence of the vector ones
   Sse4 = 1,    ///< 2-lane double (SSE4.1: needed for roundpd)
   Avx2 = 2,    ///< 4-lane double
-  Neon = 3,    ///< 2-lane double (aarch64 baseline)
 };
 
-/// Canonical lower-case name ("scalar", "sse4", "avx2", "neon").
+/// Canonical lower-case name ("scalar", "sse4", "avx2").
 [[nodiscard]] const char* isaName(Isa isa) noexcept;
 
 /// Parse a canonical name; returns false on an unknown string.
 [[nodiscard]] bool parseIsaName(std::string_view name, Isa& out) noexcept;
 
 /// Whether this build AND this CPU can execute the level's kernels
-/// (runtime CPUID check on x86; compile-time on aarch64).
+/// (runtime CPUID check on x86; elsewhere only Scalar).
 [[nodiscard]] bool isaSupported(Isa isa) noexcept;
 
 /// Widest supported level on this host.

@@ -8,19 +8,22 @@
 
 #include "simd/force_kernel.hpp"
 #include "simd/isa.hpp"
+#include "stats/welford.hpp"
 
 namespace sfopt::simd::detail {
 
-/// Welford chunk kernel: accumulate `count` samples into (n, mean, m2)
-/// moments.  The scalar kernel is the sequential stats::Welford::add
-/// stream bit for bit; each vector kernel deinterleaves samples across W
-/// lanes (lane l takes samples l, l+W, l+2W, ...), folds the lane
-/// accumulators in lane order 0..W-1 with the standard pairwise merge,
-/// then adds the count % W tail samples sequentially.  Each kernel's
-/// output is a pure function of (samples, count): bitwise reproducible
-/// run to run and across threads within its ISA.
-using WelfordChunkFn = void (*)(const double* samples, std::int64_t count, std::int64_t* outN,
-                                double* outMean, double* outM2);
+/// Lanes of the Welford chunk reducer, fixed for every ISA.  Four is
+/// AVX2's width, so the recorded AVX2 results keep their bits.
+inline constexpr int kWelfordLanes = 4;
+
+/// The Welford chunk reducer, one plain C++ function for every ISA: lane l
+/// (of kWelfordLanes) runs the Welford::add stream over samples l, l+4,
+/// l+8, ..., the lanes are merged in order 0..3 with Welford::merge, and
+/// the count % 4 tail samples are added with Welford::add; a chunk of
+/// fewer than four samples is the plain Welford::add stream.  The result
+/// is a pure function of (samples, count), whatever the ISA, thread or
+/// worker.
+[[nodiscard]] stats::Welford welfordChunkLanes(const double* samples, std::int64_t count);
 
 /// What pass 1 of the force kernel leaves for the rest of it, over a
 /// slice of `count` pairs, in caller-owned arrays.  Per position k < count
@@ -89,19 +92,15 @@ using PairDistancesFn = void (*)(const PairDistanceIn& in, double* r2);
 
 /// One level's kernels.
 struct KernelTable {
-  WelfordChunkFn welford;
   ForcePairsFn force;
   PackPairsFn pack;
   PairTermsFn terms;
   PairDistancesFn distances;
 };
 
-/// The kernels of `isa`, which the running CPU must support.  NEON has
-/// its own Welford kernel and takes the scalar force and distance kernels.
+/// The kernels of `isa`, which the running CPU must support.
 [[nodiscard]] KernelTable kernelsFor(Isa isa) noexcept;
 
-void welfordChunkScalar(const double* samples, std::int64_t count, std::int64_t* outN,
-                        double* outMean, double* outM2);
 void packPairsScalar(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
                      PackedPairs& out);
 void pairTermsScalar(const ForceConstants& c, const PackedPairs& packed, const PairTerms& out);
@@ -110,27 +109,18 @@ void forcePairsScalar(const ForceConstants& c, const PairSlice& pairs, const Sit
 void pairDistancesScalar(const PairDistanceIn& in, double* r2);
 
 #if defined(__x86_64__) || defined(__i386__)
-void welfordChunkSse4(const double* samples, std::int64_t count, std::int64_t* outN,
-                      double* outMean, double* outM2);
 void packPairsSse4(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
                    PackedPairs& out);
 void pairTermsSse4(const ForceConstants& c, const PackedPairs& packed, const PairTerms& out);
 void forcePairsSse4(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
                     SiteRow* force0, ForceSums& sums);
 void pairDistancesSse4(const PairDistanceIn& in, double* r2);
-void welfordChunkAvx2(const double* samples, std::int64_t count, std::int64_t* outN,
-                      double* outMean, double* outM2);
 void packPairsAvx2(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
                    PackedPairs& out);
 void pairTermsAvx2(const ForceConstants& c, const PackedPairs& packed, const PairTerms& out);
 void forcePairsAvx2(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
                     SiteRow* force0, ForceSums& sums);
 void pairDistancesAvx2(const PairDistanceIn& in, double* r2);
-#endif
-
-#if defined(__aarch64__)
-void welfordChunkNeon(const double* samples, std::int64_t count, std::int64_t* outN,
-                      double* outMean, double* outM2);
 #endif
 
 // The helpers below are shared by the kernel TUs.  Functions are

@@ -1,8 +1,8 @@
 // AVX2 kernels (4-lane double).  Compiled per-TU with -mavx2 -mfma so the
 // rest of the tree stays baseline-ISA, and -ffp-contract=off so the
 // compiler cannot fuse the explicit mul/add sequences — every lane op is
-// the exact IEEE instruction written here, making each pair/sample's
-// result independent of its lane and block position.
+// the exact IEEE instruction written here, making each pair's result
+// independent of its lane and block position.
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -11,42 +11,8 @@
 #include <cstring>
 
 #include "simd/kernels.hpp"
-#include "stats/welford.hpp"
 
 namespace sfopt::simd::detail {
-
-void welfordChunkAvx2(const double* samples, std::int64_t count, std::int64_t* outN,
-                      double* outMean, double* outM2) {
-  const std::int64_t main = count - count % 4;
-  __m256d cnt = _mm256_setzero_pd();
-  __m256d mean = _mm256_setzero_pd();
-  __m256d m2 = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  for (std::int64_t k = 0; k < main; k += 4) {
-    const __m256d x = _mm256_loadu_pd(samples + k);
-    cnt = _mm256_add_pd(cnt, one);
-    const __m256d delta = _mm256_sub_pd(x, mean);
-    mean = _mm256_add_pd(mean, _mm256_div_pd(delta, cnt));
-    m2 = _mm256_add_pd(m2, _mm256_mul_pd(delta, _mm256_sub_pd(x, mean)));
-  }
-  alignas(32) double cntL[4];
-  alignas(32) double meanL[4];
-  alignas(32) double m2L[4];
-  _mm256_store_pd(cntL, cnt);
-  _mm256_store_pd(meanL, mean);
-  _mm256_store_pd(m2L, m2);
-  // Canonical reduction: fold lanes 0..3 in order, then the tail samples
-  // sequentially.
-  stats::Welford merged;
-  for (int l = 0; l < 4; ++l) {
-    merged.merge(
-        stats::Welford::fromMoments(static_cast<std::int64_t>(cntL[l]), meanL[l], m2L[l]));
-  }
-  for (std::int64_t k = main; k < count; ++k) merged.add(samples[k]);
-  *outN = merged.count();
-  *outMean = merged.mean();
-  *outM2 = merged.sumSquaredDeviations();
-}
 
 namespace {
 

@@ -1,9 +1,9 @@
-// Portable reference kernels.  The Welford kernel is the sequential
-// stats::Welford::add stream bit for bit; the force and distance kernels
-// are the exact per-lane math of the vector kernels written in plain C,
-// one pair at a time, the force kernel in the same passes and drain.
-// Compiled with -ffp-contract=off so no FMA contraction can make this TU
-// disagree with the baseline-ISA code elsewhere in the tree.
+// Portable kernels.  The Welford chunk reducer is the one every ISA runs;
+// the force and distance kernels are the exact per-lane math of the
+// vector kernels written in plain C, one pair at a time, the force kernel
+// in the same passes and drain.  Compiled with -ffp-contract=off so no FMA
+// contraction can make this TU disagree with the baseline-ISA code
+// elsewhere in the tree.
 
 #include <cmath>
 
@@ -11,21 +11,29 @@
 
 namespace sfopt::simd::detail {
 
-void welfordChunkScalar(const double* samples, std::int64_t count, std::int64_t* outN,
-                        double* outMean, double* outM2) {
-  std::int64_t n = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  for (std::int64_t k = 0; k < count; ++k) {
-    const double x = samples[k];
-    ++n;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(n);
-    m2 += delta * (x - mean);
+stats::Welford welfordChunkLanes(const double* samples, std::int64_t count) {
+  // Lane l runs the Welford::add op sequence over samples l, l+4, l+8, ...;
+  // every lane has taken the same number of samples, so one count serves
+  // all four (as a double: the divisor the add sequence uses).
+  const std::int64_t main = count - count % kWelfordLanes;
+  double n = 0.0;
+  double mean[kWelfordLanes] = {};
+  double m2[kWelfordLanes] = {};
+  for (std::int64_t k = 0; k < main; k += kWelfordLanes) {
+    n += 1.0;
+    for (int l = 0; l < kWelfordLanes; ++l) {
+      const double x = samples[k + l];
+      const double delta = x - mean[l];
+      mean[l] += delta / n;
+      m2[l] += delta * (x - mean[l]);
+    }
   }
-  *outN = n;
-  *outMean = mean;
-  *outM2 = m2;
+  stats::Welford merged;
+  for (int l = 0; l < kWelfordLanes; ++l) {
+    merged.merge(stats::Welford::fromMoments(static_cast<std::int64_t>(n), mean[l], m2[l]));
+  }
+  for (std::int64_t k = main; k < count; ++k) merged.add(samples[k]);
+  return merged;
 }
 
 namespace {

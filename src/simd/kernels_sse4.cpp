@@ -1,7 +1,7 @@
 // SSE4.1 kernels (2-lane double).  Compiled with -msse4.1 and
 // -ffp-contract=off: every lane op is an explicit IEEE instruction, so a
-// pair/sample's result depends only on its own inputs, never on which
-// lane or block position it landed in.
+// pair's result depends only on its own inputs, never on which lane or
+// block position it landed in.
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -10,42 +10,8 @@
 #include <cstring>
 
 #include "simd/kernels.hpp"
-#include "stats/welford.hpp"
 
 namespace sfopt::simd::detail {
-
-void welfordChunkSse4(const double* samples, std::int64_t count, std::int64_t* outN,
-                      double* outMean, double* outM2) {
-  const std::int64_t main = count - count % 2;
-  __m128d cnt = _mm_setzero_pd();
-  __m128d mean = _mm_setzero_pd();
-  __m128d m2 = _mm_setzero_pd();
-  const __m128d one = _mm_set1_pd(1.0);
-  for (std::int64_t k = 0; k < main; k += 2) {
-    const __m128d x = _mm_loadu_pd(samples + k);
-    cnt = _mm_add_pd(cnt, one);
-    const __m128d delta = _mm_sub_pd(x, mean);
-    mean = _mm_add_pd(mean, _mm_div_pd(delta, cnt));
-    m2 = _mm_add_pd(m2, _mm_mul_pd(delta, _mm_sub_pd(x, mean)));
-  }
-  alignas(16) double cntL[2];
-  alignas(16) double meanL[2];
-  alignas(16) double m2L[2];
-  _mm_store_pd(cntL, cnt);
-  _mm_store_pd(meanL, mean);
-  _mm_store_pd(m2L, m2);
-  // Canonical reduction: fold lanes 0..1 in order, then the tail samples
-  // sequentially.
-  stats::Welford merged;
-  for (int l = 0; l < 2; ++l) {
-    merged.merge(
-        stats::Welford::fromMoments(static_cast<std::int64_t>(cntL[l]), meanL[l], m2L[l]));
-  }
-  for (std::int64_t k = main; k < count; ++k) merged.add(samples[k]);
-  *outN = merged.count();
-  *outMean = merged.mean();
-  *outM2 = merged.sumSquaredDeviations();
-}
 
 namespace {
 

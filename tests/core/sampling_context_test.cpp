@@ -156,30 +156,30 @@ TEST(SamplingContext, DuplicatesChargeTheirSummedTakeAgainstTheMax) {
   EXPECT_EQ(b->sampleCount(), 4);
 }
 
-TEST(SamplingContext, InlineSamplingIsTheSequentialAddStream) {
-  // Inline sampling draws in 64-sample runs but absorbs them one by one in
-  // index order: the vertex moments equal the per-sample Welford::add
-  // stream bit for bit, across run boundaries and for every entry point.
+TEST(SamplingContext, InlineSamplingFoldsTheBackendsChunks) {
+  // Each inline refinement absorbs exactly what a backend would return
+  // for the same batch: its chunk moments on the grid from the batch's
+  // first index, folded in order.  Covered: a one-chunk creation of 63, a
+  // 2-sample refine that starts mid-grid, and a coalesced 200 + 1 round
+  // of four chunks.
   auto obj = test::noisyRosenbrock(2, 3.0);
   SamplingContext ctx(obj);
   auto v = ctx.createVertex({0.5, -0.5}, 63);
   (void)ctx.refine(*v, 2);
   ctx.coSample({{v.get(), 200}, {v.get(), 1}});
-  stats::Welford ref;
-  for (std::uint64_t i = 0; i < 266; ++i) ref.add(obj.sample(v->point(), {v->id(), i}));
-  EXPECT_EQ(v->accumulator().count(), ref.count());
-  EXPECT_EQ(v->accumulator().mean(), ref.mean());
-  EXPECT_EQ(v->accumulator().sumSquaredDeviations(), ref.sumSquaredDeviations());
+  stats::Welford want = test::chunkedReference(obj, v->point(), v->id(), 0, 63);
+  want.merge(test::chunkedReference(obj, v->point(), v->id(), 63, 2));
+  want.merge(test::chunkedReference(obj, v->point(), v->id(), 65, 201));
+  test::expectBitwiseEqual(v->accumulator(), want);
 }
 
-TEST(SamplingContext, NoiseProbeIsTheSequentialAddStream) {
+TEST(SamplingContext, NoiseProbeFoldsTheBackendsChunks) {
   auto obj = test::noisySphere(2, 2.0);
   const core::Point x{1.0, 2.0};
   const core::NoiseProbe probe = core::probeNoise(obj, x, 1000, 17);
-  stats::Welford ref;
-  for (std::uint64_t i = 0; i < 1000; ++i) ref.add(obj.sample(x, {17, i}));
-  EXPECT_EQ(probe.meanEstimate, ref.mean());
-  EXPECT_EQ(probe.standardError, ref.standardError());
+  const stats::Welford want = test::chunkedReference(obj, x, 17, 0, 1000);
+  EXPECT_EQ(probe.meanEstimate, want.mean());
+  EXPECT_EQ(probe.standardError, want.standardError());
 }
 
 TEST(SamplingContext, NegativeRefineThrows) {
@@ -199,12 +199,7 @@ class PatientBackend final : public core::SamplingBackend {
   explicit PatientBackend(const noise::StochasticObjective& objective) : objective_(objective) {}
 
   std::uint64_t submit(const BatchRequest& request) override {
-    Completion c{nextTicket_++, {}};
-    core::sampleChunks(objective_, request.x, request.vertexId, request.startIndex,
-                       request.count, [&c](std::span<const double> samples) {
-                         c.chunks.push_back(core::accumulateEvalChunk(samples));
-                       });
-    ready_.push_back(std::move(c));
+    ready_.push_back({nextTicket_++, core::sampleChunks(objective_, request)});
     return nextTicket_ - 1;
   }
 

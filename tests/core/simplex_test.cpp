@@ -18,8 +18,10 @@ Simplex makeSimplex(const std::vector<Point>& pts, const std::vector<double>& me
   std::vector<std::unique_ptr<Vertex>> vs;
   for (std::size_t i = 0; i < pts.size(); ++i) {
     auto v = std::make_unique<Vertex>(pts[i], i);
-    v->absorb(means[i]);
-    v->absorb(means[i]);  // two identical samples: mean fixed, variance 0
+    stats::Welford samples;
+    samples.add(means[i]);
+    samples.add(means[i]);  // two identical samples: mean fixed, variance 0
+    v->absorb(samples);
     vs.push_back(std::move(v));
   }
   return Simplex(std::move(vs));

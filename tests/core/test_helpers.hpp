@@ -8,12 +8,45 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "core/algorithms.hpp"
 #include "core/initial_simplex.hpp"
+#include "core/sampling_backend.hpp"
 #include "noise/noisy_function.hpp"
+#include "simd/dispatch.hpp"
+#include "stats/welford.hpp"
 #include "testfunctions/functions.hpp"
 
 namespace sfopt::test {
+
+/// Two accumulators hold the same moments, bit for bit.
+inline void expectBitwiseEqual(const stats::Welford& got, const stats::Welford& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.mean(), want.mean());
+  EXPECT_EQ(got.sumSquaredDeviations(), want.sumSquaredDeviations());
+}
+
+/// The moments a backend returns for the batch of `count` samples of
+/// `obj` at x from `startIndex` on noise stream `stream`, built from
+/// per-sample draws on the canonical chunk grid: one simd::welfordChunk
+/// per 64 samples from startIndex, folded in chunk order.  Independent of
+/// sampleRun, core::sampleChunks and every backend.
+inline stats::Welford chunkedReference(const noise::StochasticObjective& obj,
+                                       const std::vector<double>& x, std::uint64_t stream,
+                                       std::uint64_t startIndex, std::int64_t count) {
+  std::vector<stats::Welford> chunks;
+  for (std::int64_t first = 0; first < count; first += core::kEvalChunkSamples) {
+    const std::int64_t take = std::min(core::kEvalChunkSamples, count - first);
+    std::vector<double> samples;
+    for (std::int64_t i = 0; i < take; ++i) {
+      const auto index = startIndex + static_cast<std::uint64_t>(first + i);
+      samples.push_back(obj.sample(x, {stream, index}));
+    }
+    chunks.push_back(simd::welfordChunk(samples));
+  }
+  return core::foldEvalChunks(chunks);
+}
 
 /// Noisy generalized Rosenbrock in `dim` dimensions.
 inline noise::NoisyFunction noisyRosenbrock(std::size_t dim, double sigma0,

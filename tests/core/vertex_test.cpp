@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "stats/welford.hpp"
 
 namespace {
 
 using sfopt::core::Vertex;
+
+/// `v` absorbs `samples` as one batch, in order.
+void absorbAll(Vertex& v, const std::vector<double>& samples) {
+  sfopt::stats::Welford batch;
+  for (const double y : samples) batch.add(y);
+  v.absorb(batch);
+}
 
 TEST(Vertex, HoldsPointAndId) {
   Vertex v({1.0, 2.0}, 42);
@@ -19,8 +27,7 @@ TEST(Vertex, HoldsPointAndId) {
 
 TEST(Vertex, AbsorbUpdatesEstimate) {
   Vertex v({0.0, 0.0}, 0);
-  v.absorb(2.0);
-  v.absorb(4.0);
+  absorbAll(v, {2.0, 4.0});
   EXPECT_EQ(v.sampleCount(), 2);
   EXPECT_DOUBLE_EQ(v.mean(), 3.0);
   EXPECT_DOUBLE_EQ(v.estimatedSigma(), std::sqrt(2.0 / 2.0));
@@ -28,9 +35,7 @@ TEST(Vertex, AbsorbUpdatesEstimate) {
 
 TEST(Vertex, TotalTimeScalesWithDuration) {
   Vertex v({0.0, 0.0}, 0);
-  v.absorb(1.0);
-  v.absorb(1.0);
-  v.absorb(1.0);
+  absorbAll(v, {1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(v.totalTime(2.0), 6.0);
   EXPECT_DOUBLE_EQ(v.totalTime(0.5), 1.5);
 }
@@ -38,17 +43,17 @@ TEST(Vertex, TotalTimeScalesWithDuration) {
 TEST(Vertex, ExactSigmaFollowsDecayLaw) {
   Vertex v({0.0, 0.0}, 0);
   EXPECT_TRUE(std::isinf(v.exactSigma(10.0, 1.0)));
-  for (int i = 0; i < 4; ++i) v.absorb(0.0);
+  absorbAll(v, std::vector<double>(4, 0.0));
   // t = 4, sigma = sigma0 / sqrt(4) = sigma0 / 2.
   EXPECT_DOUBLE_EQ(v.exactSigma(10.0, 1.0), 5.0);
-  for (int i = 0; i < 12; ++i) v.absorb(0.0);
+  absorbAll(v, std::vector<double>(12, 0.0));
   // t = 16.
   EXPECT_DOUBLE_EQ(v.exactSigma(10.0, 1.0), 2.5);
 }
 
 TEST(Vertex, AbsorbWelfordBatch) {
   Vertex v({0.0}, 1);
-  v.absorb(1.0);
+  absorbAll(v, {1.0});
   sfopt::stats::Welford partial;
   partial.add(3.0);
   partial.add(5.0);
@@ -59,9 +64,9 @@ TEST(Vertex, AbsorbWelfordBatch) {
 
 TEST(Vertex, SigmaInfiniteUntilTwoSamples) {
   Vertex v({0.0}, 1);
-  v.absorb(1.0);
+  absorbAll(v, {1.0});
   EXPECT_TRUE(std::isinf(v.estimatedSigma()));
-  v.absorb(2.0);
+  absorbAll(v, {2.0});
   EXPECT_FALSE(std::isinf(v.estimatedSigma()));
 }
 

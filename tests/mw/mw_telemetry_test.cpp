@@ -62,12 +62,8 @@ class FlakySamplingWorker final : public MWWorker {
     if (remainingFailures_-- > 0) {
       throw std::runtime_error("injected failure");
     }
-    std::vector<sfopt::stats::Welford> chunks;
-    sfopt::core::sampleChunks(objective_, task.x(), task.vertexId(), task.startIndex(),
-                              task.count(), [&chunks](std::span<const double> chunk) {
-                                chunks.push_back(sfopt::core::accumulateEvalChunk(chunk));
-                              });
-    task.setChunks(std::move(chunks));
+    task.setChunks(sfopt::core::sampleChunks(
+        objective_, {task.x(), task.vertexId(), task.startIndex(), task.count()}));
     task.packResult(out);
   }
 

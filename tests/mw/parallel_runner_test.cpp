@@ -3,11 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <variant>
 
+#include "core/checkpoint.hpp"
+#include "core/initial_simplex.hpp"
 #include "mw/comm.hpp"
 #include "mw/processor_allocation.hpp"
+#include "noise/rng.hpp"
+#include "service/job.hpp"
+#include "simd/isa.hpp"
 #include "tests/core/test_helpers.hpp"
 
 namespace {
@@ -43,9 +50,8 @@ TEST(ParallelRunner, MatchesSequentialRun) {
   // The central integration property: farming the sampling over the MW
   // master-worker runtime must not change the optimization, because noise
   // draws are keyed by (vertexId, sampleIndex), not by which worker
-  // computes them.  The trajectory (moves, samples, best point) is exactly
-  // equal; the estimate itself may differ in the last bits because the
-  // split-and-merge Welford reduction sums in a different order.
+  // computes them, and both paths fold the same chunk moments in the same
+  // order.  The trajectory and the estimate are exactly equal.
   auto obj = test::noisyRosenbrock(3, 10.0);
   const auto start = test::simpleStart(3, -1.0, 0.8);
 
@@ -60,9 +66,64 @@ TEST(ParallelRunner, MatchesSequentialRun) {
   EXPECT_EQ(parallel.optimization.iterations, sequential.iterations);
   EXPECT_EQ(parallel.optimization.totalSamples, sequential.totalSamples);
   EXPECT_EQ(parallel.optimization.best, sequential.best);
-  EXPECT_NEAR(parallel.optimization.bestEstimate, sequential.bestEstimate,
-              1e-9 * std::abs(sequential.bestEstimate) + 1e-12);
+  EXPECT_EQ(parallel.optimization.bestEstimate, sequential.bestEstimate);
   EXPECT_EQ(parallel.optimization.reason, sequential.reason);
+}
+
+/// Restores the active ISA on scope exit.
+struct IsaGuard {
+  simd::Isa saved = simd::activeIsa();
+  ~IsaGuard() { simd::setActiveIsa(saved); }
+};
+
+/// The bytes of the one checkpoint `sfopt optimize --function rosenbrock
+/// --dim 3 --algorithm pc --sigma0 2 --seed 5 --max-iterations 60
+/// --checkpoint-every 60` writes, run inline or, with `overMw`, through
+/// runSimplexOverMW (`--mw`).  The job is the one `optimize` builds from
+/// those flags.
+std::string pcJobCheckpoint(bool overMw) {
+  service::JobSpec spec;
+  spec.objective = {.function = "rosenbrock", .dim = 3, .sigma0 = 2.0, .seed = 5};
+  spec.algorithm = "pc";
+  spec.termination.tolerance = 1e-4;
+  spec.termination.maxIterations = 60;
+  spec.termination.maxSamples = 1'000'000;
+  spec.termination.maxTime = 1e9;
+  noise::RngStream rng(5, 7);
+  spec.initial = core::randomSimplexPoints(3, -5.0, 5.0, rng);
+  const noise::NoisyFunction objective = spec.objective.makeObjective();
+  mw::AlgorithmOptions options = spec.makeOptions();
+  std::string bytes;
+  std::visit(
+      [&bytes](auto& o) {
+        o.common.checkpointEvery = 60;
+        o.common.checkpointSink = [&bytes](const core::SimplexCheckpoint& cp) {
+          std::ostringstream out;
+          core::writeCheckpoint(out, cp);
+          bytes = out.str();
+        };
+      },
+      options);
+  if (overMw) {
+    (void)runSimplexOverMW(objective, spec.initial, options, MWRunConfig{});
+  } else {
+    (void)mw::runAlgorithm(objective, spec.initial, options);
+  }
+  return bytes;
+}
+
+TEST(ParallelRunner, OneCheckpointOnEveryPathAndIsa) {
+  // A job's bits must not depend on where it ran: the vertex moments in
+  // its checkpoint are the same inline and over MW workers, under every
+  // SIMD level the host supports.
+  IsaGuard guard;
+  const std::string want = pcJobCheckpoint(false);
+  ASSERT_FALSE(want.empty());
+  for (const simd::Isa isa : simd::supportedIsas()) {
+    simd::setActiveIsa(isa);
+    EXPECT_EQ(pcJobCheckpoint(false), want) << "inline, " << simd::isaName(isa);
+    EXPECT_EQ(pcJobCheckpoint(true), want) << "over MW, " << simd::isaName(isa);
+  }
 }
 
 TEST(ParallelRunner, PCMatchesSequentialToo) {

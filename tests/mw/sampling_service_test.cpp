@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "core/eval_scheduler.hpp"
+#include "core/sampling_context.hpp"
+#include "simd/dispatch.hpp"
 #include "tests/core/test_helpers.hpp"
 
 namespace {
@@ -73,11 +75,11 @@ TEST(MWSamplingBackend, SingleBatchMatchesInline) {
   const core::SamplingBackend::BatchRequest req{x, 21, 0, 64};
   const auto got = scheduler.evaluate({&req, 1}).front();
 
-  stats::Welford ref;
-  for (std::uint64_t i = 0; i < 64; ++i) ref.add(obj.sample(x, {21, i}));
-  EXPECT_EQ(got.count(), 64);
-  EXPECT_NEAR(got.mean(), ref.mean(), 1e-12);
-  EXPECT_NEAR(got.variance(), ref.variance(), 1e-9);
+  // The same 64 samples drawn by an inline context's vertex 21.
+  core::SamplingContext inlineCtx(obj, {.firstVertexId = 21});
+  const auto vertex = inlineCtx.createVertex(x, 64);
+  ASSERT_EQ(vertex->id(), 21u);
+  test::expectBitwiseEqual(got, vertex->accumulator());
 }
 
 TEST(MWSamplingBackend, ManyBatchesInOrder) {
@@ -96,10 +98,11 @@ TEST(MWSamplingBackend, ManyBatchesInOrder) {
   }
   const auto got = scheduler.evaluate(reqs);
   ASSERT_EQ(got.size(), 10u);
+  core::SamplingContext inlineCtx(obj);
   for (std::uint64_t v = 0; v < 10; ++v) {
-    stats::Welford ref;
-    for (std::uint64_t i = 0; i < 16; ++i) ref.add(obj.sample(points[v], {v, i}));
-    EXPECT_NEAR(got[v].mean(), ref.mean(), 1e-12) << "v=" << v;
+    const auto vertex = inlineCtx.createVertex(points[v], 16);
+    ASSERT_EQ(vertex->id(), v);
+    test::expectBitwiseEqual(got[v], vertex->accumulator());
   }
 }
 
@@ -117,16 +120,16 @@ TEST(MWSamplingBackend, ZeroCountBatchesNeverLeaveTheMaster) {
   EXPECT_EQ(got[2].count(), 0);
   // Only the two real batches became worker tasks, mapped back by slot.
   EXPECT_EQ(fx.driver->tasksCompleted(), 2u);
-  // Single-chunk batches: the result is the canonical chunk accumulation
-  // of the sample stream, bitwise (see core::accumulateEvalChunk).
+  // Single-chunk batches: the result is the chunk reduction of the sample
+  // stream, bitwise (see simd::welfordChunk).
   std::vector<double> samples2;
   for (std::uint64_t i = 0; i < 16; ++i) samples2.push_back(obj.sample(x, {2, i}));
-  const auto ref = core::accumulateEvalChunk(samples2);
+  const auto ref = simd::welfordChunk(samples2);
   EXPECT_EQ(got[1].count(), 16);
   EXPECT_EQ(got[1].mean(), ref.mean());
   std::vector<double> samples4;
   for (std::uint64_t i = 8; i < 24; ++i) samples4.push_back(obj.sample(x, {4, i}));
-  const auto ref4 = core::accumulateEvalChunk(samples4);
+  const auto ref4 = simd::welfordChunk(samples4);
   EXPECT_EQ(got[3].mean(), ref4.mean());
 }
 
@@ -160,16 +163,16 @@ TEST(MWSamplingBackend, SubmitPollDeliversCanonicalChunks) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].ticket, ticket);
   ASSERT_EQ(got[0].chunks.size(), 3u);  // 150 samples -> chunks of 64, 64, 22
-  // Every chunk is the canonical accumulation of its index range's sample
-  // stream, bitwise (core::accumulateEvalChunk — the active SIMD ISA's
-  // kernel), even though two clients computed the batch.
+  // Every chunk is the reduction of its index range's sample stream,
+  // bitwise (simd::welfordChunk), even though two clients computed the
+  // batch.
   std::uint64_t index = 0;
   for (const auto& chunk : got[0].chunks) {
     std::vector<double> samples;
     for (std::int64_t i = 0; i < chunk.count(); ++i) {
       samples.push_back(obj.sample(x, {9, index + static_cast<std::uint64_t>(i)}));
     }
-    const auto ref = core::accumulateEvalChunk(samples);
+    const auto ref = simd::welfordChunk(samples);
     EXPECT_EQ(chunk.count(), index + 64 <= 150 ? 64 : 22);
     EXPECT_EQ(chunk.mean(), ref.mean());
     EXPECT_EQ(chunk.sumSquaredDeviations(), ref.sumSquaredDeviations());

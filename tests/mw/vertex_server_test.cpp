@@ -18,33 +18,8 @@ using namespace sfopt;
 using core::SamplingBackend;
 using mw::VertexServer;
 
-/// The batch's moments computed from per-sample draws on the canonical
-/// chunk grid: one accumulateEvalChunk per 64 samples from startIndex,
-/// folded in chunk order.  Independent of VertexServer and of sampleRun.
-stats::Welford chunkedReference(const noise::StochasticObjective& obj,
-                                const std::vector<double>& x, std::uint64_t stream,
-                                std::uint64_t startIndex, std::int64_t count) {
-  std::vector<stats::Welford> chunks;
-  for (std::int64_t first = 0; first < count; first += core::kEvalChunkSamples) {
-    const std::int64_t take = std::min(core::kEvalChunkSamples, count - first);
-    std::vector<double> samples;
-    for (std::int64_t i = 0; i < take; ++i) {
-      const auto index = startIndex + static_cast<std::uint64_t>(first + i);
-      samples.push_back(obj.sample(x, {stream, index}));
-    }
-    chunks.push_back(core::accumulateEvalChunk(samples));
-  }
-  return core::foldEvalChunks(chunks);
-}
-
 stats::Welford runFolded(VertexServer& server, const SamplingBackend::BatchRequest& request) {
   return core::foldEvalChunks(server.runBatchChunks(request));
-}
-
-void expectBitwiseEqual(const stats::Welford& got, const stats::Welford& want) {
-  EXPECT_EQ(got.count(), want.count());
-  EXPECT_EQ(got.mean(), want.mean());
-  EXPECT_EQ(got.sumSquaredDeviations(), want.sumSquaredDeviations());
 }
 
 /// Delegates to `inner` and records which thread drew each sample index.
@@ -90,12 +65,12 @@ TEST(VertexServer, RejectsMoreClientsThanTheCap) {
 TEST(VertexServer, BatchMatchesInlineSampling) {
   auto obj = test::noisySphere(2, 2.0);
   const std::vector<double> x{1.0, -1.0};
-  const stats::Welford ref = chunkedReference(obj, x, 5, 0, 300);
+  const stats::Welford ref = test::chunkedReference(obj, x, 5, 0, 300);
 
   for (int clients : {1, 2, 3, 7}) {
     SCOPED_TRACE(testing::Message() << clients << " clients");
     VertexServer server(obj, clients);
-    expectBitwiseEqual(runFolded(server, {x, 5, 0, 300}), ref);
+    test::expectBitwiseEqual(runFolded(server, {x, 5, 0, 300}), ref);
   }
 }
 
@@ -106,9 +81,9 @@ TEST(VertexServer, RespectsStartIndex) {
   stats::Welford merged = runFolded(server, {x, 9, 0, 50});
   merged.merge(runFolded(server, {x, 9, 50, 50}));
 
-  stats::Welford ref = chunkedReference(obj, x, 9, 0, 50);
-  ref.merge(chunkedReference(obj, x, 9, 50, 50));
-  expectBitwiseEqual(merged, ref);
+  stats::Welford ref = test::chunkedReference(obj, x, 9, 0, 50);
+  ref.merge(test::chunkedReference(obj, x, 9, 50, 50));
+  test::expectBitwiseEqual(merged, ref);
 }
 
 TEST(VertexServer, ZeroCountBatch) {
@@ -123,7 +98,7 @@ TEST(VertexServer, CountSmallerThanClientPool) {
   auto obj = test::noisySphere(2, 1.0);
   VertexServer server(obj, 8);
   const std::vector<double> x{0.0, 0.0};
-  expectBitwiseEqual(runFolded(server, {x, 2, 0, 3}), chunkedReference(obj, x, 2, 0, 3));
+  test::expectBitwiseEqual(runFolded(server, {x, 2, 0, 3}), test::chunkedReference(obj, x, 2, 0, 3));
 }
 
 TEST(VertexServer, LoadIsSplitAcrossClients) {
@@ -145,7 +120,7 @@ TEST(VertexServer, CallerComputesTheFirstShare) {
   {
     ThreadRecordingObjective obj(inner);
     VertexServer server(obj, 1);
-    expectBitwiseEqual(runFolded(server, {x, 3, 0, 192}), chunkedReference(inner, x, 3, 0, 192));
+    test::expectBitwiseEqual(runFolded(server, {x, 3, 0, 192}), test::chunkedReference(inner, x, 3, 0, 192));
     EXPECT_EQ(obj.threads(0, 192), std::set<std::thread::id>{caller});
     EXPECT_EQ(server.clientCount(), 1);
     EXPECT_EQ(server.clientSampleCounts(), std::vector<std::int64_t>{192});
@@ -155,7 +130,7 @@ TEST(VertexServer, CallerComputesTheFirstShare) {
     // chunks 1 and 2 on two different helpers.
     ThreadRecordingObjective obj(inner);
     VertexServer server(obj, 3);
-    expectBitwiseEqual(runFolded(server, {x, 3, 0, 192}), chunkedReference(inner, x, 3, 0, 192));
+    test::expectBitwiseEqual(runFolded(server, {x, 3, 0, 192}), test::chunkedReference(inner, x, 3, 0, 192));
     EXPECT_EQ(obj.threads(0, 64), std::set<std::thread::id>{caller});
     const auto second = obj.threads(64, 128);
     const auto third = obj.threads(128, 192);
@@ -196,8 +171,8 @@ TEST(VertexServer, ObjectiveExceptionReachesTheCaller) {
         EXPECT_EQ(std::string(e.what()), c.what);
       }
       // The server stays usable: the next clean batch is bitwise right.
-      expectBitwiseEqual(runFolded(server, {x, 6, 0, 192}),
-                         chunkedReference(inner, x, 6, 0, 192));
+      test::expectBitwiseEqual(runFolded(server, {x, 6, 0, 192}),
+                         test::chunkedReference(inner, x, 6, 0, 192));
     }
   }
 }
@@ -209,8 +184,8 @@ TEST(VertexServer, ManySequentialBatches) {
   std::int64_t total = 0;
   for (int i = 0; i < 50; ++i) {
     const auto start = static_cast<std::uint64_t>(total);
-    expectBitwiseEqual(runFolded(server, {x, 4, start, 10}),
-                       chunkedReference(obj, x, 4, start, 10));
+    test::expectBitwiseEqual(runFolded(server, {x, 4, start, 10}),
+                       test::chunkedReference(obj, x, 4, start, 10));
     total += 10;
   }
   const auto counts = server.clientSampleCounts();

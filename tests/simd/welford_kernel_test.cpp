@@ -25,6 +25,19 @@ stats::Welford chunkWith(simd::Isa isa, const std::vector<double>& samples) {
   return simd::welfordChunk(samples);
 }
 
+/// The 4-lane order, written out independently of the library: lane l
+/// takes samples l, l+4, ... through Welford::add, the lanes merge 0..3,
+/// and the count % 4 tail is added one sample at a time.
+stats::Welford fourLaneReference(const std::vector<double>& samples) {
+  const std::size_t main = samples.size() - samples.size() % 4;
+  stats::Welford lanes[4];
+  for (std::size_t k = 0; k < main; ++k) lanes[k % 4].add(samples[k]);
+  stats::Welford merged;
+  for (const stats::Welford& lane : lanes) merged.merge(lane);
+  for (std::size_t k = main; k < samples.size(); ++k) merged.add(samples[k]);
+  return merged;
+}
+
 /// Randomized chunks spanning several magnitudes, plus adversarial
 /// values: exact zeros, denormals, and sign flips.
 std::vector<double> adversarialSamples(std::size_t n, std::uint64_t seed) {
@@ -51,46 +64,34 @@ std::vector<double> adversarialSamples(std::size_t n, std::uint64_t seed) {
   return samples;
 }
 
-TEST(SimdWelford, EveryIsaAgreesWithScalarWithinTolerance) {
-  for (const std::size_t n : {std::size_t{64}, std::size_t{63}, std::size_t{65},
-                              std::size_t{128}, std::size_t{1000}}) {
+void expectBitwiseEqual(const stats::Welford& got, const stats::Welford& want, simd::Isa isa,
+                        std::size_t n) {
+  EXPECT_EQ(got.count(), want.count()) << simd::isaName(isa) << " n=" << n;
+  EXPECT_EQ(got.mean(), want.mean()) << simd::isaName(isa) << " n=" << n;
+  EXPECT_EQ(got.sumSquaredDeviations(), want.sumSquaredDeviations())
+      << simd::isaName(isa) << " n=" << n;
+}
+
+TEST(SimdWelford, EveryIsaIsTheFourLaneReferenceBitwise) {
+  for (std::size_t n = 0; n <= 1000; ++n) {
     const auto samples = adversarialSamples(n, 40 + n);
-    const auto ref = chunkWith(simd::Isa::Scalar, samples);
+    const auto want = fourLaneReference(samples);
     for (const simd::Isa isa : simd::supportedIsas()) {
-      const auto got = chunkWith(isa, samples);
-      EXPECT_EQ(got.count(), ref.count());
-      EXPECT_NEAR(got.mean(), ref.mean(), 1e-12 * std::max(1.0, std::fabs(ref.mean())))
-          << simd::isaName(isa) << " n=" << n;
-      EXPECT_NEAR(got.sumSquaredDeviations(), ref.sumSquaredDeviations(),
-                  1e-12 * std::max(1.0, ref.sumSquaredDeviations()))
-          << simd::isaName(isa) << " n=" << n;
+      expectBitwiseEqual(chunkWith(isa, samples), want, isa, n);
     }
   }
 }
 
-TEST(SimdWelford, ScalarIsaIsTheSequentialAddStreamBitwise) {
-  const auto samples = adversarialSamples(97, 7);
-  stats::Welford ref;
-  for (const double x : samples) ref.add(x);
-  const auto got = chunkWith(simd::Isa::Scalar, samples);
-  EXPECT_EQ(got.count(), ref.count());
-  EXPECT_EQ(got.mean(), ref.mean());
-  EXPECT_EQ(got.sumSquaredDeviations(), ref.sumSquaredDeviations());
-}
-
 TEST(SimdWelford, ChunksShorterThanTheLaneWidthMatchScalarBitwise) {
-  // The vector kernels run zero full strides here, so the deterministic
-  // tail must reproduce the sequential stream exactly.
+  // No lane takes a sample, so the tail alone must be the sequential
+  // Welford::add stream.
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
                               std::size_t{3}}) {
     const auto samples = adversarialSamples(n, 100 + n);
-    const auto ref = chunkWith(simd::Isa::Scalar, samples);
+    stats::Welford want;
+    for (const double x : samples) want.add(x);
     for (const simd::Isa isa : simd::supportedIsas()) {
-      const auto got = chunkWith(isa, samples);
-      EXPECT_EQ(got.count(), ref.count()) << simd::isaName(isa);
-      EXPECT_EQ(got.mean(), ref.mean()) << simd::isaName(isa) << " n=" << n;
-      EXPECT_EQ(got.sumSquaredDeviations(), ref.sumSquaredDeviations())
-          << simd::isaName(isa) << " n=" << n;
+      expectBitwiseEqual(chunkWith(isa, samples), want, isa, n);
     }
   }
 }
@@ -98,12 +99,7 @@ TEST(SimdWelford, ChunksShorterThanTheLaneWidthMatchScalarBitwise) {
 TEST(SimdWelford, EachIsaIsBitwiseReproducibleRunToRun) {
   const auto samples = adversarialSamples(333, 11);
   for (const simd::Isa isa : simd::supportedIsas()) {
-    const auto first = chunkWith(isa, samples);
-    const auto second = chunkWith(isa, samples);
-    EXPECT_EQ(first.count(), second.count()) << simd::isaName(isa);
-    EXPECT_EQ(first.mean(), second.mean()) << simd::isaName(isa);
-    EXPECT_EQ(first.sumSquaredDeviations(), second.sumSquaredDeviations())
-        << simd::isaName(isa);
+    expectBitwiseEqual(chunkWith(isa, samples), chunkWith(isa, samples), isa, samples.size());
   }
 }
 

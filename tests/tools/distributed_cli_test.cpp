@@ -11,9 +11,10 @@
 #include "tests/tools/cli_process.hpp"
 
 // The CLI's distributed path over real processes: a one-shot `sfopt serve`
-// and two `sfopt worker` processes over loopback TCP must print the same
-// result lines as the in-process `sfopt optimize --mw` run of the same
-// flags, and every worker must end on the master's shutdown.
+// and two `sfopt worker` processes over loopback TCP, one of them on the
+// scalar kernels, must print the same result lines as the inline `sfopt
+// optimize` run of the same flags, and every worker must end on the
+// master's shutdown.
 
 namespace {
 
@@ -32,8 +33,8 @@ std::string resultLines(const std::string& out) {
   return keep;
 }
 
-void expectServeMatchesOptimizeMw(const std::vector<std::string>& job) {
-  std::vector<std::string> solo = {"optimize", "--mw"};
+void expectServeMatchesOptimize(const std::vector<std::string>& job) {
+  std::vector<std::string> solo = {"optimize"};
   solo.insert(solo.end(), job.begin(), job.end());
   std::ostringstream soloOut;
   std::ostringstream soloErr;
@@ -51,8 +52,10 @@ void expectServeMatchesOptimizeMw(const std::vector<std::string>& job) {
 
   test::CliProcess workers[2];
   for (int i = 0; i < 2; ++i) {
-    workers[i].spawn({"worker", "--port", std::to_string(port), "--reconnect", "false"},
-                     logs.path / ("worker" + std::to_string(i) + ".log"));
+    std::vector<std::string> workerArgs = {"worker", "--port", std::to_string(port),
+                                           "--reconnect", "false"};
+    if (i == 1) workerArgs.insert(workerArgs.end(), {"--isa", "scalar"});
+    workers[i].spawn(workerArgs, logs.path / ("worker" + std::to_string(i) + ".log"));
     ASSERT_GE(workers[i].pid, 0);
   }
   ASSERT_EQ(serve.waitExit(60.0), 0) << serve.log();
@@ -68,14 +71,14 @@ void expectServeMatchesOptimizeMw(const std::vector<std::string>& job) {
   }
 }
 
-TEST(CliDistributed, ServeMatchesOptimizeMwForMn) {
-  expectServeMatchesOptimizeMw({"--function", "sphere", "--dim", "2", "--algorithm", "mn",
+TEST(CliDistributed, ServeMatchesOptimizeForMn) {
+  expectServeMatchesOptimize({"--function", "sphere", "--dim", "2", "--algorithm", "mn",
                                 "--sigma0", "1", "--max-iterations", "40", "--max-samples",
                                 "50000"});
 }
 
-TEST(CliDistributed, ServeMatchesOptimizeMwForShardedSpeculativePc) {
-  expectServeMatchesOptimizeMw({"--function", "rosenbrock", "--dim", "3", "--algorithm", "pc",
+TEST(CliDistributed, ServeMatchesOptimizeForShardedSpeculativePc) {
+  expectServeMatchesOptimize({"--function", "rosenbrock", "--dim", "3", "--algorithm", "pc",
                                 "--sigma0", "2", "--max-iterations", "40",
                                 "--shard-min-samples", "64", "--speculate", "--clients", "3"});
 }

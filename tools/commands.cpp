@@ -130,7 +130,7 @@ void applyPipelineKnobs(const Args& args, core::CommonOptions& common) {
   common.sampling.speculate = args.getBool("speculate", false);
 }
 
-/// `--isa scalar|sse4|avx2|neon` pins the SIMD dispatch level for this
+/// `--isa scalar|sse4|avx2` pins the SIMD dispatch level for this
 /// process (optimize, water, md, serve, worker).  Without the flag the
 /// widest ISA the CPU supports is used (or SFOPT_ISA when set).  An
 /// unknown or unsupported name is a usage error listing the host's
@@ -144,10 +144,15 @@ void applyIsaFlag(const Args& args) {
   }
 }
 
+/// The best point and the estimate print at round-trip precision, so two
+/// runs whose result lines agree agree bit for bit.
 void printResult(std::ostream& out, const core::OptimizationResult& res) {
+  constexpr int kRoundTrip = std::numeric_limits<double>::max_digits10;
   out << "stopped:  " << toString(res.reason) << " after " << res.iterations << " steps\n";
-  out << "best:     " << core::toString(res.best, 6) << "\n";
+  out << "best:     " << core::toString(res.best, kRoundTrip) << "\n";
+  const std::streamsize precision = out.precision(kRoundTrip);
   out << "estimate: " << res.bestEstimate;
+  out.precision(precision);
   if (res.bestTrue) out << "   (true value " << *res.bestTrue << ")";
   out << "\n";
   out << "effort:   " << res.totalSamples << " samples, " << res.elapsedTime
@@ -1139,9 +1144,10 @@ int runInfoCommand(const Args&, std::ostream& out) {
   out << "pipeline:   --shard-min-samples N splits big sampling batches across\n";
   out << "            workers; --speculate prefetches the next round (optimize\n";
   out << "            --mw, water, serve; results stay bitwise identical)\n";
-  out << "isa:        --isa scalar|sse4|avx2|neon (or SFOPT_ISA env) pins the\n";
-  out << "            vectorized kernel level; results are bitwise reproducible\n";
-  out << "            within an ISA regardless of threads or shard layout\n";
+  out << "isa:        --isa scalar|sse4|avx2 (or SFOPT_ISA env) pins the\n";
+  out << "            vectorized kernel level; results are bitwise identical\n";
+  out << "            under every ISA, inline or --mw, whatever the threads\n";
+  out << "            or shard layout\n";
   return 0;
 }
 
