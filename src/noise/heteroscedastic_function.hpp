@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "noise/stochastic_objective.hpp"
+#include "simd/dispatch.hpp"
 
 namespace sfopt::noise {
 
@@ -56,11 +57,7 @@ class HeteroscedasticFunction final : public StochasticObjective {
   void sampleRun(std::span<const double> x, std::uint64_t stream, std::uint64_t firstIndex,
                  std::span<double> out) const override {
     const double perSample = sigma0_(x) / std::sqrt(opts_.sampleDuration);
-    const double fx = f_(x);
-    const std::uint64_t prefix = rng_.streamPrefix(stream);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = fx + perSample * gaussianAt(prefix, firstIndex + i);
-    }
+    simd::addNormalRun(rng_.streamPrefix(stream), firstIndex, f_(x), perSample, out);
   }
 
   [[nodiscard]] std::optional<double> trueValue(std::span<const double> x) const override {

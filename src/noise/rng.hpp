@@ -33,16 +33,30 @@ namespace sfopt::noise {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
 
+/// The two uniforms of a Box-Muller draw.
+struct UniformPair {
+  double u1;  ///< in [2^-54, 1]: kept away from 0 so log(u1) is finite
+  double u2;  ///< in [0, 1)
+};
+
+/// The uniforms of the Box-Muller draw for (index, salt) on the stream
+/// whose prefix is `prefix`: u1 from salt `salt`, u2 from `salt + 1`.
+[[nodiscard]] constexpr UniformPair boxMullerUniforms(std::uint64_t prefix, std::uint64_t index,
+                                                      std::uint64_t salt = 0) noexcept {
+  return {unitInterval(bitsAt(prefix, index, salt)) + 0x1.0p-54,
+          unitInterval(bitsAt(prefix, index, salt + 1))};
+}
+
 /// Standard normal deviate for (index, salt) on the stream whose prefix is
-/// `prefix`, via Box-Muller over salts `salt` and `salt + 1`.  Inline so a
-/// sampling run pays only the per-index hashing: the prefix is computed
-/// once per run, and with a constant salt the salt hashes fold away.
+/// `prefix`, via Box-Muller with libm's log and cos.  The Gaussian
+/// objectives draw their noise through simd::addNormalRun instead, whose
+/// fixed op sequence agrees with this to within a few ulps; this stays on
+/// libm for the few setup draws per run (MD velocities, annealing
+/// proposals, RngStream) so their recorded trajectories keep their bits.
 [[nodiscard]] inline double gaussianAt(std::uint64_t prefix, std::uint64_t index,
                                        std::uint64_t salt = 0) noexcept {
-  // u1 is kept away from 0 so log() is finite.
-  const double u1 = unitInterval(bitsAt(prefix, index, salt)) + 0x1.0p-54;
-  const double u2 = unitInterval(bitsAt(prefix, index, salt + 1));
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+  const UniformPair u = boxMullerUniforms(prefix, index, salt);
+  return std::sqrt(-2.0 * std::log(u.u1)) * std::cos(2.0 * std::numbers::pi * u.u2);
 }
 
 /// Identifies one noise draw.  The pair (stream, index) maps to a unique,

@@ -1,5 +1,6 @@
 #include "simd/dispatch.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "simd/kernels.hpp"
@@ -20,12 +21,13 @@ KernelTable kernelsFor(Isa isa) noexcept {
   switch (isa) {
 #if defined(__x86_64__) || defined(__i386__)
     case Isa::Sse4:
-      return {forcePairsSse4, packPairsSse4, pairTermsSse4, pairDistancesSse4};
+      return {forcePairsSse4, packPairsSse4, pairTermsSse4, pairDistancesSse4, normalsScalar};
     case Isa::Avx2:
-      return {forcePairsAvx2, packPairsAvx2, pairTermsAvx2, pairDistancesAvx2};
+      return {forcePairsAvx2, packPairsAvx2, pairTermsAvx2, pairDistancesAvx2, normalsAvx2};
 #endif
     default:
-      return {forcePairsScalar, packPairsScalar, pairTermsScalar, pairDistancesScalar};
+      return {forcePairsScalar, packPairsScalar, pairTermsScalar, pairDistancesScalar,
+              normalsScalar};
   }
 }
 
@@ -44,6 +46,22 @@ void forcePairs(const ForceConstants& c, const PairSlice& pairs, const SiteRow* 
 
 void pairDistancesSquared(const PairDistanceIn& in, double* r2) {
   detail::kernelsFor(activeIsa()).distances(in, r2);
+}
+
+void addNormalRun(std::uint64_t prefix, std::uint64_t firstIndex, double center, double scale,
+                  std::span<double> out) {
+  // The uniforms of each block of draws are hashed into stack buffers,
+  // then the level's kernel runs the math over them.
+  constexpr std::int64_t kBlock = 64;
+  const detail::NormalsFn normals = detail::kernelsFor(activeIsa()).normals;
+  alignas(32) double u1[kBlock];
+  alignas(32) double u2[kBlock];
+  const auto count = static_cast<std::int64_t>(out.size());
+  for (std::int64_t begin = 0; begin < count; begin += kBlock) {
+    const std::int64_t n = std::min(kBlock, count - begin);
+    detail::uniformPairs(prefix, firstIndex + static_cast<std::uint64_t>(begin), u1, u2, n);
+    normals(u1, u2, center, scale, out.data() + begin, n);
+  }
 }
 
 DispatchCounts dispatchCounts() noexcept {

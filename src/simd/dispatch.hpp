@@ -32,6 +32,19 @@ void forcePairs(const ForceConstants& c, const PairSlice& pairs, const SiteRow* 
 /// to normSquared(PeriodicBox::minimumImage(a, b)).
 void pairDistancesSquared(const PairDistanceIn& in, double* r2);
 
+/// Gaussian noise for draws firstIndex .. firstIndex + out.size() - 1 on
+/// the noise stream whose prefix is `prefix` (noise::CounterRng::
+/// streamPrefix): out[i] = center + scale * z_i, where z_i is the
+/// Box-Muller deviate of noise::gaussianAt's uniforms for that draw, its
+/// log and cos taken from one fixed IEEE op sequence instead of libm.
+/// Every ISA runs that sequence per draw (SSE4 and hosts other than x86
+/// the scalar kernel, AVX2 four draws per instruction), so out[i] is a
+/// pure function of (prefix, index, center, scale): the same bits under
+/// every ISA, in every run length and at every position of a run.  It is
+/// within a few ulps of gaussianAt, not equal to it.
+void addNormalRun(std::uint64_t prefix, std::uint64_t firstIndex, double center, double scale,
+                  std::span<double> out);
+
 /// Process-wide dispatch totals (relaxed counters; for telemetry/tests).
 struct DispatchCounts {
   std::int64_t welfordChunks = 0;  ///< welfordChunk calls: one per chunk reduction

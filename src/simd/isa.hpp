@@ -6,9 +6,10 @@
 
 namespace sfopt::simd {
 
-/// Instruction-set levels the force and distance kernels are built for.
-/// The numeric order is the preference order (wider is better).  Hosts
-/// other than x86 run the portable scalar kernels.
+/// Instruction-set levels the force, distance and Gaussian noise kernels
+/// are built for.  The numeric order is the preference order (wider is
+/// better).  SSE4 has no noise kernel of its own and runs the scalar one;
+/// hosts other than x86 run the portable scalar kernels.
 enum class Isa : int {
   Scalar = 0,  ///< portable kernels, the op sequence of the vector ones
   Sse4 = 1,    ///< 2-lane double (SSE4.1: needed for roundpd)

@@ -90,16 +90,73 @@ using ForcePairsFn = void (*)(const ForceConstants& c, const PairSlice& pairs,
 /// rounded up to kForceLaneGroup.
 using PairDistancesFn = void (*)(const PairDistanceIn& in, double* r2);
 
+/// Gaussian noise kernel: out[i] = center + scale * z_i for i < count,
+/// where z_i = sqrt(-2 log u1[i]) * cos(2 pi u2[i]) with log and cos from
+/// one fixed IEEE op sequence (see normalsScalar), never from libm.  Valid
+/// for u1 in [2^-54, 1] and u2 in [0, 1).  Each entry's value depends
+/// only on its inputs, never on its lane or on count.
+using NormalsFn = void (*)(const double* u1, const double* u2, double center, double scale,
+                           double* out, std::int64_t count);
+
 /// One level's kernels.
 struct KernelTable {
   ForcePairsFn force;
   PackPairsFn pack;
   PairTermsFn terms;
   PairDistancesFn distances;
+  NormalsFn normals;
 };
 
 /// The kernels of `isa`, which the running CPU must support.
 [[nodiscard]] KernelTable kernelsFor(Isa isa) noexcept;
+
+/// The two uniforms of draws firstIndex .. firstIndex + count - 1 on the
+/// stream whose prefix is `prefix`, as noise::gaussianAt takes them:
+/// u1[i] = unitInterval(bitsAt(prefix, i, 0)) + 2^-54 and
+/// u2[i] = unitInterval(bitsAt(prefix, i, 1)).  Every level hashes here.
+void uniformPairs(std::uint64_t prefix, std::uint64_t firstIndex, double* u1, double* u2,
+                  std::int64_t count);
+
+/// The reference op sequence of the noise kernel, one draw at a time:
+/// log is FreeBSD/musl's e_log.c (fdlibm's Lg1-Lg7 polynomial and
+/// ln2_hi/ln2_lo split, with its one branch-free formula), and
+/// cos(2 pi u) is an exact reduction of 4u to the nearest quadrant q and
+/// a remainder r in [-1/2, 1/2], then fdlibm's sin and cos kernels (the
+/// branch-free k_sin.c/k_cos.c) on a = r * pi/2, picked and signed by the
+/// low two bits of q.
+void normalsScalar(const double* u1, const double* u2, double center, double scale, double* out,
+                   std::int64_t count);
+
+/// The noise kernel's constants, fdlibm's bit patterns.
+namespace fdlibm {
+inline constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+inline constexpr double kLg1 = 0x1.5555555555593p-1;
+inline constexpr double kLg2 = 0x1.999999997fa04p-2;
+inline constexpr double kLg3 = 0x1.2492494229359p-2;
+inline constexpr double kLg4 = 0x1.c71c51d8e78afp-3;
+inline constexpr double kLg5 = 0x1.7466496cb03dep-3;
+inline constexpr double kLg6 = 0x1.39a09d078c69fp-3;
+inline constexpr double kLg7 = 0x1.2f112df3e5244p-3;
+/// pi/2 = kPio2Hi (its first 33 bits) + kPio2Lo.
+inline constexpr double kPio2Hi = 0x1.921fb54400000p+0;
+inline constexpr double kPio2Lo = 0x1.0b4611a626331p-34;
+inline constexpr double kS1 = -0x1.5555555555549p-3;
+inline constexpr double kS2 = 0x1.111111110f8a6p-7;
+inline constexpr double kS3 = -0x1.a01a019c161d5p-13;
+inline constexpr double kS4 = 0x1.71de357b1fe7dp-19;
+inline constexpr double kS5 = -0x1.ae5e68a2b9cebp-26;
+inline constexpr double kS6 = 0x1.5d93a5acfd57cp-33;
+inline constexpr double kC1 = 0x1.555555555554cp-5;
+inline constexpr double kC2 = -0x1.6c16c16c15177p-10;
+inline constexpr double kC3 = 0x1.a01a019cb1590p-16;
+inline constexpr double kC4 = -0x1.27e4f809c52adp-22;
+inline constexpr double kC5 = 0x1.1ee9ebdb4b1c4p-29;
+inline constexpr double kC6 = -0x1.8fae9be8838d4p-37;
+/// 1.5 * 2^52: (t + it) - it rounds |t| < 2^51 to the nearest integer,
+/// and the low bits of t + it are that integer.
+inline constexpr double kRoundIt = 0x1.8p52;
+}  // namespace fdlibm
 
 void packPairsScalar(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
                      PackedPairs& out);
@@ -121,6 +178,8 @@ void pairTermsAvx2(const ForceConstants& c, const PackedPairs& packed, const Pai
 void forcePairsAvx2(const ForceConstants& c, const PairSlice& pairs, const SiteRow* xyz0,
                     SiteRow* force0, ForceSums& sums);
 void pairDistancesAvx2(const PairDistanceIn& in, double* r2);
+void normalsAvx2(const double* u1, const double* u2, double center, double scale, double* out,
+                 std::int64_t count);
 #endif
 
 // The helpers below are shared by the kernel TUs.  Functions are

@@ -1,8 +1,8 @@
 // AVX2 kernels (4-lane double).  Compiled per-TU with -mavx2 -mfma so the
 // rest of the tree stays baseline-ISA, and -ffp-contract=off so the
 // compiler cannot fuse the explicit mul/add sequences — every lane op is
-// the exact IEEE instruction written here, making each pair's result
-// independent of its lane and block position.
+// the exact IEEE instruction written here, making each pair's or draw's
+// result independent of its lane and block position.
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -146,6 +146,97 @@ void pairDistancesAvx2(const PairDistanceIn& in, double* r2) {
                              minimumImage(edge, invEdge, xyz0[p.i[k + 2]], xyz0[p.j[k + 2]]),
                              minimumImage(edge, invEdge, xyz0[p.i[k + 3]], xyz0[p.j[k + 3]])));
   }
+}
+
+namespace {
+
+// Short names for the noise kernel's lane ops, so its formulas read like
+// the scalar reference they copy op for op.
+__m256d splat(double v) { return _mm256_set1_pd(v); }
+__m256i splat64(long long v) { return _mm256_set1_epi64x(v); }
+__m256d add(__m256d a, __m256d b) { return _mm256_add_pd(a, b); }
+__m256d sub(__m256d a, __m256d b) { return _mm256_sub_pd(a, b); }
+__m256d mul(__m256d a, __m256d b) { return _mm256_mul_pd(a, b); }
+__m256d mul(double a, __m256d b) { return _mm256_mul_pd(splat(a), b); }
+__m256d add(double a, __m256d b) { return _mm256_add_pd(splat(a), b); }
+
+/// logFixed of kernels_scalar.cpp in four lanes.  The biased exponent
+/// k + 1023 is an integer in [0, 2048], so the double with 2^52's bits
+/// or'ed with it is 2^52 + k + 1023 exactly, and subtracting 2^52 + 1023
+/// leaves k.
+__m256d logFixed4(__m256d x) {
+  using namespace fdlibm;
+  const __m256i bits = _mm256_castpd_si256(x);
+  const __m256i high = _mm256_srli_epi64(bits, 32);
+  const __m256i mantissaHigh = _mm256_and_si256(high, splat64(0xfffff));
+  const __m256i halve =
+      _mm256_and_si256(_mm256_add_epi64(mantissaHigh, splat64(0x95f64)), splat64(0x100000));
+  const __m256i kBiased =
+      _mm256_add_epi64(_mm256_srli_epi64(high, 20), _mm256_srli_epi64(halve, 20));
+  const __m256d dk = sub(_mm256_castsi256_pd(_mm256_or_si256(kBiased, splat64(0x4330000000000000))),
+                         splat(0x1p52 + 1023.0));
+  const __m256i newHigh =
+      _mm256_or_si256(mantissaHigh, _mm256_xor_si256(halve, splat64(0x3ff00000)));
+  const __m256i normalized = _mm256_or_si256(_mm256_slli_epi64(newHigh, 32),
+                                             _mm256_and_si256(bits, splat64(0xffffffff)));
+  const __m256d f = sub(_mm256_castsi256_pd(normalized), splat(1.0));
+  const __m256d hfsq = mul(mul(0.5, f), f);
+  const __m256d s = _mm256_div_pd(f, add(2.0, f));
+  const __m256d z = mul(s, s);
+  const __m256d w = mul(z, z);
+  const __m256d t1 = mul(w, add(kLg2, mul(w, add(kLg4, mul(kLg6, w)))));
+  const __m256d t2 = mul(z, add(kLg1, mul(w, add(kLg3, mul(w, add(kLg5, mul(kLg7, w)))))));
+  const __m256d r = add(t2, t1);
+  return add(add(sub(add(mul(s, add(hfsq, r)), mul(kLn2Lo, dk)), hfsq), f), mul(kLn2Hi, dk));
+}
+
+/// cosTwoPiFixed of kernels_scalar.cpp in four lanes: a blend picks sin a
+/// in lanes with odd q, and an xor of bit 1 of q + 1 into the sign bit
+/// negates quadrants 1 and 2.
+__m256d cosTwoPiFixed4(__m256d u) {
+  using namespace fdlibm;
+  const __m256d t = mul(4.0, u);
+  const __m256d shifted = add(kRoundIt, t);
+  const __m256d r = sub(t, sub(shifted, splat(kRoundIt)));
+  const __m256d a = add(mul(kPio2Hi, r), mul(kPio2Lo, r));
+  const __m256d z = mul(a, a);
+  const __m256d w = mul(z, z);
+  const __m256d rs =
+      add(add(kS2, mul(z, add(kS3, mul(kS4, z)))), mul(mul(z, w), add(kS5, mul(kS6, z))));
+  const __m256d sinA = add(a, mul(mul(z, a), add(kS1, mul(z, rs))));
+  const __m256d rc = add(mul(z, add(kC1, mul(z, add(kC2, mul(kC3, z))))),
+                         mul(mul(w, w), add(kC4, mul(z, add(kC5, mul(kC6, z))))));
+  const __m256d hz = mul(0.5, z);
+  const __m256d oneMinusHz = sub(splat(1.0), hz);
+  const __m256d cosA = add(oneMinusHz, add(sub(sub(splat(1.0), oneMinusHz), hz), mul(z, rc)));
+  const __m256i q = _mm256_castpd_si256(shifted);
+  const __m256i one = splat64(1);
+  const __m256d odd = _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(q, one), one));
+  const __m256i sign =
+      _mm256_slli_epi64(_mm256_and_si256(_mm256_add_epi64(q, one), splat64(2)), 62);
+  return _mm256_xor_pd(_mm256_blendv_pd(cosA, sinA, odd), _mm256_castsi256_pd(sign));
+}
+
+__m256d normals4(__m256d u1, __m256d u2, __m256d center, __m256d scale) {
+  const __m256d z = mul(_mm256_sqrt_pd(mul(-2.0, logFixed4(u1))), cosTwoPiFixed4(u2));
+  return add(center, mul(scale, z));
+}
+
+}  // namespace
+
+void normalsAvx2(const double* u1, const double* u2, double center, double scale, double* out,
+                 std::int64_t count) {
+  const __m256d centerV = splat(center);
+  const __m256d scaleV = splat(scale);
+  std::int64_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    _mm256_storeu_pd(out + k, normals4(_mm256_loadu_pd(u1 + k), _mm256_loadu_pd(u2 + k), centerV,
+                                       scaleV));
+  }
+  // The count % 4 tail, a single draw included, takes the scalar
+  // reference, the same op sequence: a masked 4-lane tail cost a single
+  // draw 82-84 ns against 45-47 ns this way.
+  normalsScalar(u1 + k, u2 + k, center, scale, out + k, count - k);
 }
 
 }  // namespace sfopt::simd::detail

@@ -1,12 +1,14 @@
-// Portable kernels.  The Welford chunk reducer is the one every ISA runs;
-// the force and distance kernels are the exact per-lane math of the
-// vector kernels written in plain C, one pair at a time, the force kernel
-// in the same passes and drain.  Compiled with -ffp-contract=off so no FMA
-// contraction can make this TU disagree with the baseline-ISA code
-// elsewhere in the tree.
+// Portable kernels.  The Welford chunk reducer and the noise hashing are
+// the ones every ISA runs; the force, distance and noise kernels are the
+// exact per-lane math of the vector kernels written in plain C, one pair
+// or draw at a time, the force kernel in the same passes and drain.
+// Compiled with -ffp-contract=off so no FMA contraction can make this TU
+// disagree with the baseline-ISA code elsewhere in the tree.
 
+#include <bit>
 #include <cmath>
 
+#include "noise/rng.hpp"
 #include "simd/kernels.hpp"
 
 namespace sfopt::simd::detail {
@@ -153,6 +155,73 @@ void pairDistancesScalar(const PairDistanceIn& in, double* r2) {
   for (std::int64_t k = 0; k < src.pairs.count; ++k) {
     r2[k] = normSquared(minimumImage(src.boxEdge, src.invBoxEdge, src.xyz0[src.pairs.i[k]],
                                      src.xyz0[src.pairs.j[k]]));
+  }
+}
+
+void uniformPairs(std::uint64_t prefix, std::uint64_t firstIndex, double* u1, double* u2,
+                  std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    const noise::UniformPair u =
+        noise::boxMullerUniforms(prefix, firstIndex + static_cast<std::uint64_t>(i));
+    u1[i] = u.u1;
+    u2[i] = u.u2;
+  }
+}
+
+namespace {
+
+/// log(x) for a normal x > 0, e_log.c's op sequence: x = 2^k (1 + f) with
+/// 1 + f in [sqrt(2)/2, sqrt(2)) (a mantissa above the cut is halved),
+/// s = f / (2 + f), and log(1 + f) = f - hfsq + s (hfsq + R(s^2)).
+inline double logFixed(double x) {
+  using namespace fdlibm;
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t high = bits >> 32;
+  const std::uint64_t mantissaHigh = high & 0xfffff;
+  const std::uint64_t halve = (mantissaHigh + 0x95f64) & 0x100000;
+  const auto k = static_cast<std::int64_t>((high >> 20) + (halve >> 20)) - 1023;
+  bits = ((mantissaHigh | (halve ^ 0x3ff00000)) << 32) | (bits & 0xffffffff);
+  const double f = std::bit_cast<double>(bits) - 1.0;
+  const double hfsq = 0.5 * f * f;
+  const double s = f / (2.0 + f);
+  const double z = s * s;
+  const double w = z * z;
+  const double t1 = w * (kLg2 + w * (kLg4 + w * kLg6));
+  const double t2 = z * (kLg1 + w * (kLg3 + w * (kLg5 + w * kLg7)));
+  const double r = t2 + t1;
+  const auto dk = static_cast<double>(k);
+  return s * (hfsq + r) + dk * kLn2Lo - hfsq + f + dk * kLn2Hi;
+}
+
+/// cos(2 pi u) for u in [0, 1): 4u = q + r exactly, with q the nearest
+/// integer and |r| <= 1/2, then cos(q pi/2 + a) at a = r pi/2 is +cos a,
+/// -sin a, -cos a or +sin a by q mod 4, from k_sin.c and k_cos.c.
+inline double cosTwoPiFixed(double u) {
+  using namespace fdlibm;
+  const double t = 4.0 * u;
+  const double shifted = t + kRoundIt;
+  const double r = t - (shifted - kRoundIt);
+  const double a = r * kPio2Hi + r * kPio2Lo;
+  const double z = a * a;
+  const double w = z * z;
+  const double rs = kS2 + z * (kS3 + z * kS4) + z * w * (kS5 + z * kS6);
+  const double sinA = a + z * a * (kS1 + z * rs);
+  const double rc = z * (kC1 + z * (kC2 + z * kC3)) + w * w * (kC4 + z * (kC5 + z * kC6));
+  const double hz = 0.5 * z;
+  const double oneMinusHz = 1.0 - hz;
+  const double cosA = oneMinusHz + (((1.0 - oneMinusHz) - hz) + z * rc);
+  const std::uint64_t q = std::bit_cast<std::uint64_t>(shifted);
+  const double picked = (q & 1) != 0 ? sinA : cosA;
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(picked) ^ (((q + 1) & 2) << 62));
+}
+
+}  // namespace
+
+void normalsScalar(const double* u1, const double* u2, double center, double scale, double* out,
+                   std::int64_t count) {
+  for (std::int64_t i = 0; i < count; ++i) {
+    const double z = std::sqrt(-2.0 * logFixed(u1[i])) * cosTwoPiFixed(u2[i]);
+    out[i] = center + scale * z;
   }
 }
 

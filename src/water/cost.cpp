@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "simd/dispatch.hpp"
 #include "water/experimental.hpp"
 
 namespace sfopt::water {
@@ -68,11 +69,7 @@ double WaterCostObjective::sample(std::span<const double> x, noise::SampleKey ke
 
 void WaterCostObjective::sampleRun(std::span<const double> x, std::uint64_t stream,
                                    std::uint64_t firstIndex, std::span<double> out) const {
-  const double cost = *trueValue(x);
-  const std::uint64_t prefix = rng_.streamPrefix(stream);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = cost + sigmaPerSample_ * noise::gaussianAt(prefix, firstIndex + i);
-  }
+  simd::addNormalRun(rng_.streamPrefix(stream), firstIndex, *trueValue(x), sigmaPerSample_, out);
 }
 
 std::optional<double> WaterCostObjective::trueValue(std::span<const double> x) const {

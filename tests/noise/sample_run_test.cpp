@@ -1,6 +1,8 @@
 // The sampleRun contract: out[i] is bit for bit sample(x, {stream,
 // firstIndex + i}) for every objective, whether it overrides sampleRun
 // (per-run work hoisted out of the loop) or inherits the per-sample loop.
+// The Gaussian objectives draw through simd::addNormalRun, so their cases
+// run under every supported ISA and must give the scalar level's bits.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 
 #include "noise/heteroscedastic_function.hpp"
 #include "noise/noisy_function.hpp"
+#include "simd/isa.hpp"
 #include "testfunctions/functions.hpp"
 #include "water/cost.hpp"
 #include "water/md_objective.hpp"
@@ -21,7 +24,8 @@ namespace {
 using namespace sfopt;
 
 constexpr std::uint64_t kFirstIndices[] = {0, 7, (1ULL << 40) + 3};
-constexpr std::size_t kLengths[] = {0, 1, 63, 64, 65, 1000};
+// 2-9 cover every lane tail of the 4-lane noise kernel.
+constexpr std::size_t kLengths[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 1000};
 
 /// Checks the contract for every (length, first index) pair, and that a
 /// run writes exactly its own span: sentinels on both sides stay put.
@@ -40,6 +44,31 @@ void expectRunMatchesLoop(const noise::StochasticObjective& obj, const std::vect
         ASSERT_EQ(std::bit_cast<std::uint64_t>(buffer[i + 1]), std::bit_cast<std::uint64_t>(one))
             << "sample " << i << ": run " << buffer[i + 1] << " vs single " << one;
       }
+    }
+  }
+}
+
+struct IsaGuard {
+  simd::Isa saved = simd::activeIsa();
+  ~IsaGuard() { simd::setActiveIsa(saved); }
+};
+
+/// The contract under every supported ISA, and a 1000-draw run at index
+/// 2^40 + 3 under each that is the scalar level's run bit for bit.
+void expectRunMatchesLoopUnderEveryIsa(const noise::StochasticObjective& obj,
+                                       const std::vector<double>& x, std::uint64_t stream) {
+  std::vector<double> scalarRun;
+  for (const simd::Isa isa : simd::supportedIsas()) {  // Scalar first
+    SCOPED_TRACE(simd::isaName(isa));
+    IsaGuard guard;
+    simd::setActiveIsa(isa);
+    expectRunMatchesLoop(obj, x, stream, kLengths);
+    std::vector<double> run(1000);
+    obj.sampleRun(x, stream, kFirstIndices[2], run);
+    if (scalarRun.empty()) scalarRun = run;
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(run[i]), std::bit_cast<std::uint64_t>(scalarRun[i]))
+          << "sample " << i << ": " << run[i] << " vs scalar " << scalarRun[i];
     }
   }
 }
@@ -69,7 +98,7 @@ noise::NoisyFunction noisyRosenbrock() {
 }
 
 TEST(SampleRun, NoisyFunctionRunIsBitwiseThePerSampleLoop) {
-  expectRunMatchesLoop(noisyRosenbrock(), {0.3, -1.1, 2.5}, 4, kLengths);
+  expectRunMatchesLoopUnderEveryIsa(noisyRosenbrock(), {0.3, -1.1, 2.5}, 4);
 }
 
 TEST(SampleRun, HeteroscedasticFunctionRunIsBitwiseThePerSampleLoop) {
@@ -79,7 +108,7 @@ TEST(SampleRun, HeteroscedasticFunctionRunIsBitwiseThePerSampleLoop) {
   const noise::HeteroscedasticFunction obj(
       2, [](std::span<const double> x) { return testfunctions::sphere(x); },
       [](std::span<const double> x) { return 0.3 + std::hypot(x[0], x[1]); }, o);
-  expectRunMatchesLoop(obj, {1.7, -0.9}, 12, kLengths);
+  expectRunMatchesLoopUnderEveryIsa(obj, {1.7, -0.9}, 12);
 }
 
 TEST(SampleRun, WaterCostObjectiveRunIsBitwiseThePerSampleLoop) {
@@ -87,7 +116,7 @@ TEST(SampleRun, WaterCostObjectiveRunIsBitwiseThePerSampleLoop) {
   o.sigma0 = 0.37;
   o.sampleDuration = 1.5;
   const water::WaterCostObjective obj(o);
-  expectRunMatchesLoop(obj, {0.186, 3.40, 0.45}, 2, kLengths);
+  expectRunMatchesLoopUnderEveryIsa(obj, {0.186, 3.40, 0.45}, 2);
 }
 
 TEST(SampleRun, DecoratorOverridingOnlySampleUsesTheDefaultLoop) {
